@@ -2,7 +2,7 @@
 
 Subcommands map to the audit suites plus `all`, which replays every bundled
 scenario.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or configuration error, 3 numerical failure.
+2 usage, configuration or invalid-input error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import SUITE_NAMES, parse_config
-from .errors import ConfigError, DivergenceError, NumericalFailureError
+from .errors import ChronolabError, ConfigError, InvalidInputError, NoPhysicalStatesError
 from .scenarios import bundled_scenarios, run_scenario
 
 EXIT_PASS = 0
@@ -85,7 +85,10 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DivergenceError, NumericalFailureError) as exc:
+    except (InvalidInputError, NoPhysicalStatesError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except ChronolabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

@@ -3,13 +3,15 @@
 The constraint slaves each matched system level to one clock frequency, so
 the physical subspace is carried isomorphically on its clock-sector image:
 the span of the matched plane waves.  Restricting the clock-bin projectors
-|T_m><T_m| to that image gives the measurement effects
+|T_m><T_m| to that image gives the rank-one measurement effects
 
     E_m[a, b] = conj(W[m, a]) W[m, b],     W[m, a] = <T_m | clock part of a>
 
 which are positive, sum to the identity, and are neither idempotent nor
 mutually orthogonal whenever d < M: the reading of each bin overlaps its
 neighbours.  The d = M control case degenerates to orthogonal projectors.
+A TimePOVM is therefore its frame W: every audited quantity is computed
+from W and its Gram matrix G = W W^dag, not from the effect stack.
 
 Conditioning on a bin recovers the system state at that clock reading, and
 successive bins are related by exp(-i sigma H_s deltaT), so the frozen
@@ -23,6 +25,7 @@ such a subspace raises InvalidInputError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,48 +47,53 @@ __all__ = [
     "event_probability",
     "covariance_report",
     "restricted_time_operator",
+    "first_moment_vs_closed_form",
     "clock_sector_frame",
 ]
 
-EFFECT_MIN_EIG = -1e-12
-COMPLETENESS_TOL = 1e-10
 FRAME_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class TimePOVM:
-    """Family of M positive effects on the d-dimensional physical sector.
+    """Family of M rank-one effects on the d-dimensional physical sector.
 
-    `frame` is the (M, d) clock-sector image matrix W with orthonormal
-    columns; effects[m] = W[m]^dag W[m] row by row.
+    `frame` is the (M, d) clock-sector image W with orthonormal columns; it
+    describes the POVM completely, effects[m] = W[m]^dag W[m] row by row.
     """
 
-    effects: np.ndarray  # (M, d, d)
-    frame: np.ndarray    # (M, d)
-    times: np.ndarray
+    frame: np.ndarray  # (M, d)
+    times: np.ndarray  # (M,)
     deltaT: float
     sigma: int
 
     def __post_init__(self):
-        for name in ("effects", "frame", "times"):
+        for name in ("frame", "times"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def M(self) -> int:
-        return self.effects.shape[0]
+        return self.frame.shape[0]
 
     @property
     def d(self) -> int:
-        return self.effects.shape[1]
+        return self.frame.shape[1]
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """Dense (M, d, d) effect stack, built on first use; read-only."""
+        effects = np.einsum("ma,mb->mab", self.frame.conj(), self.frame)
+        effects.setflags(write=False)
+        return effects
 
     def completeness_residual(self) -> float:
-        total = self.effects.sum(axis=0)
-        return float(np.max(np.abs(total - np.eye(self.d))))
+        W = self.frame
+        return float(np.max(np.abs(W.conj().T @ W - np.eye(self.d))))
 
     def min_effect_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh(e).min() for e in self.effects))
+        return float(np.linalg.eigvalsh(self.effects).min())
 
 
 def clock_sector_frame(sub: PhysicalSubspace) -> np.ndarray:
@@ -105,33 +113,19 @@ def clock_sector_frame(sub: PhysicalSubspace) -> np.ndarray:
 
 
 def _frame_povm(W: np.ndarray, clock: ClockSpace) -> TimePOVM:
-    gram = W.conj().T @ W
-    defect = float(np.max(np.abs(gram - np.eye(W.shape[1]))))
+    povm = TimePOVM(frame=W, times=clock.times, deltaT=clock.deltaT, sigma=clock.sigma)
+    defect = povm.completeness_residual()
     if defect > FRAME_TOL:
         raise InvalidInputError(
             "clock-sector image is not orthonormal "
             f"(deviation {defect:.3e}); matched frequencies must be distinct"
         )
-    effects = np.einsum("ma,mb->mab", W.conj(), W)
-    povm = TimePOVM(effects=effects, frame=W, times=clock.times,
-                    deltaT=clock.deltaT, sigma=clock.sigma)
-    if povm.completeness_residual() > COMPLETENESS_TOL:
-        raise NumericalFailureError("effects do not resolve the identity")
-    if povm.min_effect_eigenvalue() < EFFECT_MIN_EIG:
-        raise NumericalFailureError("an effect has a negative eigenvalue")
-    # The first moment of the effects and the compressed time operator are
-    # the same contraction; guard the identity once at build time.
-    first_moment = np.einsum("m,mab->ab", povm.times, effects)
-    compressed = W.conj().T @ (povm.times[:, None] * W)
-    if np.max(np.abs(first_moment - compressed)) > 1e-10 * max(1.0, np.max(np.abs(compressed))):
-        raise NumericalFailureError("first-moment consistency check failed")
     return povm
 
 
-def build_time_povm(sub: PhysicalSubspace, clock: ClockSpace | None = None) -> TimePOVM:
+def build_time_povm(sub: PhysicalSubspace) -> TimePOVM:
     """Time POVM of a physical subspace: clock-bin projectors on its image."""
-    clock = sub.space.clock if clock is None else clock
-    return _frame_povm(clock_sector_frame(sub), clock)
+    return _frame_povm(clock_sector_frame(sub), sub.space.clock)
 
 
 def projective_clock_povm(clock: ClockSpace) -> TimePOVM:
@@ -159,29 +153,33 @@ class PMViolationReport:
         }
 
 
-def _spectral_norm(X: np.ndarray) -> float:
-    return float(np.linalg.svd(X, compute_uv=False)[0])
-
-
 def pm_violation_report(povm: TimePOVM) -> PMViolationReport:
-    """max_{m != m'} ||E_m E_m'|| and max_m ||E_m^2 - E_m|| (spectral norms)."""
-    effects = povm.effects
-    M = povm.M
-    orth = 0.0
-    worst = (0, 0)
-    for m in range(M):
-        for mp in range(m + 1, M):
-            val = _spectral_norm(effects[m] @ effects[mp])
-            if val > orth:
-                orth = val
-                worst = (m, mp)
-    idem = max(_spectral_norm(e @ e - e) for e in effects)
-    return PMViolationReport(orthogonality_defect=orth, idempotency_defect=idem,
-                             worst_pair=worst)
+    """max_{m != m'} ||E_m E_m'|| and max_m ||E_m^2 - E_m|| (spectral norms).
+
+    Rank one gives |G[m, m']| sqrt(G[m, m] G[m', m']) and |G[m, m] - 1| G[m, m]
+    with G = W W^dag; `worst_pair` is the first maximising m < m' row-major.
+    """
+    W = povm.frame
+    gram = W @ W.conj().T
+    norms = gram.diagonal().real
+    orth = np.triu(np.abs(gram) * np.sqrt(np.outer(norms, norms)), k=1)
+    worst = np.unravel_index(np.argmax(orth), orth.shape)
+    idem = np.abs(norms - 1.0) * norms
+    return PMViolationReport(orthogonality_defect=float(orth[worst]),
+                             idempotency_defect=float(idem.max()),
+                             worst_pair=(int(worst[0]), int(worst[1])))
 
 
-def gram_of_restricted_time_states(sub: PhysicalSubspace,
-                                   clock: ClockSpace | None = None) -> np.ndarray:
+def _closed_form_orthogonality_defect(pairs, M: int) -> float:
+    """max ||E_m E_m'|| for matched plane waves: ||w_m||^2 = d / M, and
+    |G[m, m']| = |sum_a exp(2 pi i k_a delta / M)| / M with delta = m' - m."""
+    ks = np.array([p.k for p in pairs])
+    delta = np.arange(1, M)[:, None]
+    amp = np.abs(np.sum(np.exp(2j * np.pi * ks * delta / M), axis=1)) / M
+    return float(np.max((len(ks) / M) * amp))
+
+
+def gram_of_restricted_time_states(sub: PhysicalSubspace) -> np.ndarray:
     """Gram matrix G[m, m'] = <T_m| P |T_m'> of the clock-sector projection P.
 
     Contraction convention (fixed): P projects onto the clock-sector image
@@ -204,11 +202,11 @@ def _coeffs_of(state) -> np.ndarray:
 
 
 def time_distribution(povm: TimePOVM, state) -> np.ndarray:
-    """Born probabilities p_m = c^dag E_m c of the clock readings."""
+    """Born probabilities p_m = c^dag E_m c = |(W c)_m|^2 of the clock readings."""
     c = _coeffs_of(state)
     if c.size != povm.d:
         raise InvalidInputError(f"need {povm.d} coefficients, got {c.size}")
-    return np.einsum("a,mab,b->m", c.conj(), povm.effects, c).real
+    return np.abs(povm.frame @ c) ** 2
 
 
 def conditional_state(sub: PhysicalSubspace, phys: PhysicalState, m: int) -> np.ndarray:
@@ -317,5 +315,17 @@ def covariance_report(ext: ExtendedSpace, psi, theta: float) -> CovarianceReport
 
 
 def restricted_time_operator(povm: TimePOVM) -> np.ndarray:
-    """First moment sum_m T_m E_m: the time operator on the physical sector."""
-    return np.einsum("m,mab->ab", povm.times, povm.effects)
+    """First moment sum_m T_m E_m = W^dag diag(T) W: the physical time operator."""
+    W = povm.frame
+    return W.conj().T @ (povm.times[:, None] * W)
+
+
+def first_moment_vs_closed_form(povm: TimePOVM, pairs) -> float:
+    """max |W^dag diag(T) W - closed form| for matched plane waves, whose
+    first moment is T0 + (M - 1) deltaT / 2 on the diagonal and
+    deltaT / (exp(2 pi i (k_b - k_a) / M) - 1) off it."""
+    ks = np.array([p.k for p in pairs])
+    with np.errstate(divide="ignore", invalid="ignore"):  # diagonal replaced below
+        expected = povm.deltaT / (np.exp(2j * np.pi * (ks - ks[:, None]) / povm.M) - 1.0)
+    np.fill_diagonal(expected, povm.times[0] + (povm.M - 1) * povm.deltaT / 2)
+    return float(np.max(np.abs(restricted_time_operator(povm) - expected)))

@@ -325,17 +325,6 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     return rec
 
 
-def _closed_form_orthogonality_defect(pairs, M: int) -> float:
-    """Brute maximum of ||E_m E_m'|| from the rank-one structure."""
-    ks = np.array([p.k for p in pairs])
-    d = len(ks)
-    best = 0.0
-    for delta in range(1, M):
-        amp = abs(np.sum(np.exp(2j * np.pi * ks * delta / M))) / M
-        best = max(best, (d / M) * amp)
-    return best
-
-
 def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     rec = _Recorder("povm")
     system, clock, ext = _quantum_setup(cfg, rng, rec)
@@ -352,7 +341,7 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     if measure.d < measure.M:
         rec.add("orthogonality_defect", violation.orthogonality_defect, 1e-6, ">=")
         rec.add("idempotency_defect", violation.idempotency_defect, 1e-6, ">=")
-        closed = _closed_form_orthogonality_defect(spectral.pairs, clock.M)
+        closed = povm._closed_form_orthogonality_defect(spectral.pairs, clock.M)
         rec.add("orthogonality_defect_vs_closed_form",
                 violation.orthogonality_defect, closed - 1e-10, ">=")
 
@@ -366,10 +355,9 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     if measure.d < measure.M:
         rec.add("gram_offdiagonal_mass", float(np.max(np.abs(off))), 1e-6, ">=")
 
-    t_phys = povm.restricted_time_operator(measure)
-    first_moment = np.einsum("m,mab->ab", measure.times, measure.effects)
-    rec.add("first_moment_consistency",
-            float(np.max(np.abs(t_phys - first_moment))), 1e-12, "<=")
+    rec.add("first_moment_vs_closed_form",
+            povm.first_moment_vs_closed_form(measure, spectral.pairs),
+            1e-12 * max(1.0, float(np.max(np.abs(measure.times)))), "<=")
 
     if cfg.compare_sigmas:
         # same (already snapped) system, opposite sign convention

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     EventOperator,
@@ -19,7 +21,7 @@ from chronolab import (
     solve_constraint_spectral,
     time_distribution,
 )
-from chronolab.povm import restricted_time_operator
+from chronolab.povm import first_moment_vs_closed_form, restricted_time_operator
 from chronolab.quantum import (
     fidelity,
     gaussian_clock_state,
@@ -156,9 +158,12 @@ def test_gram_single_pair_constant_modulus():
 
 def test_gram_control_case_is_identity():
     clock = build_clock(16, 0.5)
-    W = np.eye(clock.M, dtype=complex)
-    gram = W @ W.conj().T
-    assert np.array_equal(gram, np.eye(clock.M))
+    povm = projective_clock_povm(clock)
+    W = povm.frame
+    assert np.array_equal(W @ W.conj().T, np.eye(clock.M))
+    report = pm_violation_report(povm)
+    assert report.orthogonality_defect == 0.0
+    assert report.idempotency_defect == 0.0
 
 
 def test_gram_qubit_has_offdiagonal_weight():
@@ -372,3 +377,60 @@ def test_sign_pair_effects_conjugate_distributions_equal():
         dp = time_distribution(povm_p, c)
         dm = time_distribution(povm_m, c)
         assert np.max(np.abs(dp - dm)) < 1e-10
+
+
+# --- properties on random commensurate spectra -------------------------------
+
+@st.composite
+def plane_wave_setups(draw):
+    """Distinct integer frequencies (2 <= d < M) on an even grid, both signs."""
+    M = draw(st.integers(4, 16)) * 2
+    ks = draw(st.lists(st.integers(-M // 2 + 1, M // 2 - 1),
+                       min_size=2, max_size=M - 1, unique=True))
+    sigma = draw(st.sampled_from((1, -1)))
+    T0 = draw(st.floats(-50.0, 50.0))
+    return M, ks, sigma, T0
+
+
+def plane_wave_povm(M, ks, sigma, T0, deltaT=0.25):
+    clock = build_clock(M, deltaT, T0=T0, sigma=sigma)
+    system = build_system_space(np.diag(np.array(ks) * clock.freq_step))
+    sub = solve_constraint_spectral(build_extended(system, clock))
+    assert sub.d == len(ks)
+    return sub, build_time_povm(sub)
+
+
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(plane_wave_setups())
+def test_pm_report_matches_brute_force(setup):
+    _, povm = plane_wave_povm(*setup)
+    report = pm_violation_report(povm)
+    orth_ref, idem_ref = brute_force_defects(povm.effects)
+    assert report.orthogonality_defect == pytest.approx(orth_ref, rel=1e-12)
+    assert report.idempotency_defect == pytest.approx(idem_ref, rel=1e-12)
+    m, mp = report.worst_pair
+    assert m < mp
+    attained = np.linalg.svd(povm.effects[m] @ povm.effects[mp], compute_uv=False)[0]
+    assert attained == pytest.approx(orth_ref, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(plane_wave_setups())
+def test_first_moment_matches_closed_form(setup):
+    sub, povm = plane_wave_povm(*setup)
+    scale = max(1.0, float(np.max(np.abs(povm.times))))
+    summed = np.einsum("m,mab->ab", povm.times, povm.effects)
+    assert np.max(np.abs(restricted_time_operator(povm) - summed)) < 1e-12 * scale
+    assert first_moment_vs_closed_form(povm, sub.pairs) < 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(plane_wave_setups())
+def test_sigma_flip_conjugates_effects(setup):
+    M, ks, sigma, T0 = setup
+    _, povm = plane_wave_povm(M, ks, sigma, T0)
+    _, flipped = plane_wave_povm(M, ks, -sigma, T0)
+    assert np.max(np.abs(flipped.effects - povm.effects.conj())) < 1e-12

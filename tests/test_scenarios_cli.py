@@ -159,6 +159,37 @@ classical.t_end = 1.0
     assert code == 3
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("constraint-solve", """
+scenario = oversized
+system.kind = oscillator
+system.n_levels = 100
+clock.M = 1024
+""", "exceeds the dense-solver budget"),
+    ("povm-audit", """
+scenario = colliding
+system.kind = qubit
+system.energies = 0.0, 0.0
+clock.M = 16
+clock.deltaT = 0.5
+""", "matched frequencies must be distinct"),
+    ("time-distribution", """
+scenario = empty
+system.kind = qubit
+system.energies = 0.3, 0.7
+clock.M = 16
+clock.deltaT = 0.5
+tolerances.eps_match = 0.01
+""", "the physical subspace is empty"),
+], ids=["oversized", "colliding-frequencies", "empty-subspace"])
+def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(text)
+    code = main([command, "--config", str(cfg_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_all_runs_bundled(tmp_path, capsys):
     code = main(["all", "--out", str(tmp_path), "--format", "csv", "--seed", "5"])
     captured = capsys.readouterr()
