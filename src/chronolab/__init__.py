@@ -54,6 +54,7 @@ from .povm import (
     TimePOVM,
     build_time_povm,
     conditional_state,
+    conditional_states,
     covariance_report,
     event_probability,
     gram_of_restricted_time_states,

@@ -61,40 +61,45 @@ def _print_report(report):
           f"({sum(r.passed for r in report.records)}/{len(report.records)} checks)")
 
 
+def _run_isolated(label: str, load, **options) -> int:
+    """Load and run one scenario, print its report and return its exit code.
+
+    An error is reported on stderr, under `label`, as this scenario's
+    outcome; it does not stop the scenarios after it.
+    """
+    try:
+        report = run_scenario(load(), **options)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {label}: {problem}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except (InvalidInputError, NoPhysicalStatesError) as exc:
+        print(f"invalid input: {label}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except ChronolabError as exc:
+        print(f"numerical failure: {label}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+    _print_report(report)
+    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    formats = ("json",) if args.format == "json" else ("json", "csv")
+    options = {"out_dir": args.out, "seed": args.seed,
+               "formats": ("json",) if args.format == "json" else ("json", "csv")}
 
-    try:
-        if args.command == "all":
-            configs = list(bundled_scenarios())
-            if args.config is not None:
-                configs.append(_load_config(args.config))
-            reports = [
-                run_scenario(cfg, out_dir=args.out, formats=formats, seed=args.seed)
-                for cfg in configs
-            ]
-        else:
-            if args.config is None:
-                parser.error(f"{args.command} requires --config")
-            cfg = _load_config(args.config)
-            reports = [run_scenario(cfg, suites=(args.command,), out_dir=args.out,
-                                    formats=formats, seed=args.seed)]
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (InvalidInputError, NoPhysicalStatesError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ChronolabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
-
-    for report in reports:
-        _print_report(report)
-    return EXIT_PASS if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
+    if args.command == "all":
+        runs = [(cfg.scenario, lambda cfg=cfg: cfg) for cfg in bundled_scenarios()]
+    else:
+        if args.config is None:
+            parser.error(f"{args.command} requires --config")
+        runs = []
+        options["suites"] = (args.command,)
+    if args.config is not None:
+        runs.append((str(args.config), lambda: _load_config(args.config)))
+    # the worst outcome over all scenarios sets the exit code
+    return max([_run_isolated(label, load, **options) for label, load in runs])
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ __all__ = [
     "gram_of_restricted_time_states",
     "time_distribution",
     "conditional_state",
+    "conditional_states",
     "event_probability",
     "covariance_report",
     "restricted_time_operator",
@@ -209,22 +210,41 @@ def time_distribution(povm: TimePOVM, state) -> np.ndarray:
     return np.abs(povm.frame @ c) ** 2
 
 
-def conditional_state(sub: PhysicalSubspace, phys: PhysicalState, m: int) -> np.ndarray:
-    """System state conditioned on the clock reading T_m, normalized.
+def _normalized_bins(block: np.ndarray, bins) -> np.ndarray:
+    """Columns of `block` (the clock bins `bins`) scaled to unit norm.
 
-    For a physical state sum_a c_a |E_a> (x) |w_a| the conditional at bin m
+    Each bin is normalized as its own contiguous row, so the result for a
+    bin does not depend on how many bins are normalized together.
+    """
+    rows = np.ascontiguousarray(block.T)
+    norms = np.linalg.norm(rows, axis=1)
+    empty = np.flatnonzero(norms < 1e-12)
+    if empty.size:
+        raise NumericalFailureError(
+            f"conditional state at bin {bins[empty[0]]} has zero weight")
+    return (rows / norms[:, None]).T
+
+
+def conditional_states(sub: PhysicalSubspace, phys: PhysicalState) -> np.ndarray:
+    """System states conditioned on every clock reading, as (n_levels, M) columns.
+
+    For a physical state sum_a c_a |E_a> (x) |w_a> the conditional at bin m
     is proportional to sum_a c_a e^{-i sigma E_a (T_m - T0)} |E_a>, so one
     bin step applies exp(-i sigma H_s deltaT).
     """
     M = sub.space.clock.M
+    block = phys.vector.reshape(sub.space.system.n_levels, M)
+    return _normalized_bins(block, range(M))
+
+
+def conditional_state(sub: PhysicalSubspace, phys: PhysicalState, m: int) -> np.ndarray:
+    """System state conditioned on the clock reading T_m, normalized: column
+    m of `conditional_states`, with only bin m checked for weight."""
+    M = sub.space.clock.M
     if not 0 <= m < M:
         raise InvalidInputError(f"bin index {m} outside the grid")
     block = phys.vector.reshape(sub.space.system.n_levels, M)
-    vec = block[:, m]
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise NumericalFailureError(f"conditional state at bin {m} has zero weight")
-    return vec / norm
+    return _normalized_bins(block[:, m:m + 1], (m,))[:, 0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ Units: hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +114,8 @@ class ClockSpace:
 
     `times` are the diagonal of T_op; `frequencies` the (ascending) centered
     DFT grid, which is exactly the spectrum of S_op; `fourier` the unitary
-    DFT matrix with rows ordered like `frequencies`.
+    DFT matrix with rows ordered like `frequencies`.  The dense S_op is built
+    on first use only.
     """
 
     M: int
@@ -123,11 +125,21 @@ class ClockSpace:
     times: np.ndarray
     frequencies: np.ndarray
     fourier: np.ndarray
-    S_op: np.ndarray
 
     @property
     def T_op(self) -> np.ndarray:
         return np.diag(self.times).astype(complex)
+
+    @cached_property
+    def S_op(self) -> np.ndarray:
+        """Dense F^dag diag(w) F, read-only; its spectrum is checked against
+        `frequencies` to 1e-10."""
+        S_op = self.fourier.conj().T @ (self.frequencies[:, None] * self.fourier)
+        S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
+        if np.max(np.abs(np.linalg.eigvalsh(S_op) - self.frequencies)) > 1e-10:
+            raise NumericalFailureError("S_op spectrum deviates from the frequency grid")
+        S_op.setflags(write=False)
+        return S_op
 
     @property
     def freq_step(self) -> float:
@@ -162,14 +174,10 @@ def build_clock(M: int, deltaT: float, T0: float = 0.0, sigma: int = 1) -> Clock
     k = np.arange(-M // 2, M // 2)
     frequencies = 2 * np.pi * k / (M * deltaT)
     fourier = np.exp(-2j * np.pi * np.outer(k, m) / M) / np.sqrt(M)
-    S_op = fourier.conj().T @ (frequencies[:, None] * fourier)
-    S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
-    if np.max(np.abs(np.linalg.eigvalsh(S_op) - frequencies)) > 1e-10:
-        raise NumericalFailureError("S_op spectrum deviates from the frequency grid")
-    for arr in (times, frequencies, fourier, S_op):
+    for arr in (times, frequencies, fourier):
         arr.setflags(write=False)
     return ClockSpace(M=M, deltaT=float(deltaT), T0=float(T0), sigma=int(sigma),
-                      times=times, frequencies=frequencies, fourier=fourier, S_op=S_op)
+                      times=times, frequencies=frequencies, fourier=fourier)
 
 
 def commutator_residual(clock: ClockSpace, phi) -> float:
@@ -191,11 +199,14 @@ def commutator_residual(clock: ClockSpace, phi) -> float:
 
 @dataclass(eq=False)
 class ExtendedSpace:
-    """System (x) clock with the extended generator H_ex = H_s + sigma S."""
+    """System (x) clock with the extended generator H_ex = H_s + sigma S.
+
+    The pair (system, clock) determines everything; the dense n M x n M
+    generator and its eigendecomposition are built only when read.
+    """
 
     system: SystemSpace
     clock: ClockSpace
-    hamiltonian: np.ndarray
     _eig: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -206,8 +217,21 @@ class ExtendedSpace:
     def dim(self) -> int:
         return self.system.n_levels * self.clock.M
 
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only."""
+        system, clock = self.system, self.clock
+        H_ex = (np.kron(system.matrix, np.eye(clock.M))
+                + clock.sigma * np.kron(np.eye(system.n_levels), clock.S_op))
+        herm = float(np.max(np.abs(H_ex - H_ex.conj().T)))
+        if herm > 1e-12:
+            raise NumericalFailureError(f"H_ex Hermiticity violated at {herm:.3e}")
+        H_ex = 0.5 * (H_ex + H_ex.conj().T)
+        H_ex.setflags(write=False)
+        return H_ex
+
     def eigensystem(self):
-        """Cached dense eigendecomposition of H_ex (the check path)."""
+        """Cached dense eigendecomposition of H_ex (the oracle path)."""
         if self._eig is None:
             lam, W = np.linalg.eigh(self.hamiltonian)
             lam.setflags(write=False)
@@ -217,20 +241,13 @@ class ExtendedSpace:
 
 
 def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:
-    """Assemble H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major ordering."""
+    """Pair a system with a clock; H_ex is assembled on first read."""
     dim = system.n_levels * clock.M
     if dim > MAX_EXTENDED_DIM:
         raise InvalidInputError(
             f"extended dimension {dim} exceeds the dense-solver budget {MAX_EXTENDED_DIM}"
         )
-    H_ex = (np.kron(system.matrix, np.eye(clock.M))
-            + clock.sigma * np.kron(np.eye(system.n_levels), clock.S_op))
-    herm = float(np.max(np.abs(H_ex - H_ex.conj().T)))
-    if herm > 1e-12:
-        raise NumericalFailureError(f"H_ex Hermiticity violated at {herm:.3e}")
-    H_ex = 0.5 * (H_ex + H_ex.conj().T)
-    H_ex.setflags(write=False)
-    return ExtendedSpace(system=system, clock=clock, hamiltonian=H_ex)
+    return ExtendedSpace(system=system, clock=clock)
 
 
 def verify_kronecker_spectrum(ext: ExtendedSpace) -> float:
@@ -239,7 +256,7 @@ def verify_kronecker_spectrum(ext: ExtendedSpace) -> float:
         (ext.system.energies[:, None]
          + ext.sigma * ext.clock.frequencies[None, :]).ravel()
     )
-    actual = np.linalg.eigvalsh(ext.hamiltonian)
+    actual, _ = ext.eigensystem()
     return float(np.max(np.abs(actual - expected)))
 
 

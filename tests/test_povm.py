@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from chronolab import (
     EventOperator,
     InvalidInputError,
     NoPhysicalStatesError,
+    NumericalFailureError,
     build_clock,
     build_extended,
     build_system_space,
     build_time_povm,
     conditional_state,
+    conditional_states,
     covariance_report,
     event_probability,
     gram_of_restricted_time_states,
@@ -270,6 +274,16 @@ def test_conditional_dynamics_with_offset_grid():
         assert fidelity(nxt, step_u @ conditional_state(sub, state, m)) > 1 - 1e-10
 
 
+def test_conditional_states_zero_weight_bin_raises():
+    _, _, _, sub = qubit_setup()
+    state = make_physical_state(sub, np.array([1.0, 0.0]))
+    blank = dataclasses.replace(state, vector=np.zeros_like(state.vector))
+    with pytest.raises(NumericalFailureError, match="bin 0 has zero weight"):
+        conditional_states(sub, blank)
+    with pytest.raises(NumericalFailureError, match="bin 5 has zero weight"):
+        conditional_state(sub, blank, 5)
+
+
 def test_conditional_bin_bounds():
     _, _, _, sub = qubit_setup()
     state = make_physical_state(sub, np.array([1.0, 0.0]))
@@ -434,3 +448,15 @@ def test_sigma_flip_conjugates_effects(setup):
     _, povm = plane_wave_povm(M, ks, sigma, T0)
     _, flipped = plane_wave_povm(M, ks, -sigma, T0)
     assert np.max(np.abs(flipped.effects - povm.effects.conj())) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(plane_wave_setups(), st.integers(0, 2 ** 32 - 1))
+def test_conditional_states_columns_are_conditional_state(setup, seed):
+    sub, _ = plane_wave_povm(*setup)
+    rng = np.random.default_rng(seed)
+    state = make_physical_state(sub, rng.normal(size=sub.d) + 1j * rng.normal(size=sub.d))
+    states = conditional_states(sub, state)
+    assert states.shape == (sub.space.system.n_levels, sub.space.clock.M)
+    for m in range(sub.space.clock.M):
+        assert np.array_equal(states[:, m], conditional_state(sub, state, m))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chronolab import (
     InvalidInputError,
+    NumericalFailureError,
     build_clock,
     build_extended,
     build_system_space,
@@ -98,6 +101,26 @@ def test_sign_convention_does_not_touch_the_clock_pair():
     assert plus.sigma == 1 and minus.sigma == -1
 
 
+def test_lazy_s_op_is_the_dft_formula_and_read_only():
+    clock = build_clock(16, 0.5, T0=1.0, sigma=-1)
+    F, w = clock.fourier, clock.frequencies
+    S_ref = F.conj().T @ (w[:, None] * F)
+    S_ref = 0.5 * (S_ref + S_ref.conj().T)
+    assert np.array_equal(clock.S_op, S_ref)
+    assert clock.S_op is clock.S_op  # built once
+    assert not clock.S_op.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clock.S_op = S_ref
+
+
+def test_s_op_guard_fires_on_a_perturbed_spectrum():
+    clock = build_clock(16, 0.5)
+    # a non-unitary transform scales every eigenvalue of F^dag diag(w) F
+    skewed = dataclasses.replace(clock, fourier=clock.fourier * (1 + 1e-6))
+    with pytest.raises(NumericalFailureError):
+        skewed.S_op
+
+
 def test_clock_validation():
     with pytest.raises(InvalidInputError):
         build_clock(7, 1.0)
@@ -121,6 +144,28 @@ def test_trivial_system_gives_sigma_s():
     clock_m = build_clock(8, 1.0, sigma=-1)
     ext_m = build_extended(space, clock_m)
     assert np.max(np.abs(ext_m.hamiltonian + clock_m.S_op)) < 1e-14
+
+
+def test_lazy_hamiltonian_is_the_kron_formula_and_read_only():
+    rng = np.random.default_rng(29)
+    clock = build_clock(16, 0.3, sigma=-1)
+    space = build_system_space(random_hermitian(rng, 3))
+    ext = build_extended(space, clock)
+    assert "hamiltonian" not in vars(ext)  # nothing assembled at build time
+    H_ref = np.kron(space.matrix, np.eye(16)) - np.kron(np.eye(3), clock.S_op)
+    H_ref = 0.5 * (H_ref + H_ref.conj().T)
+    assert np.array_equal(ext.hamiltonian, H_ref)
+    assert ext.hamiltonian is ext.hamiltonian  # built once
+    assert not ext.hamiltonian.flags.writeable
+
+
+def test_kronecker_spectrum_reuses_the_eigensystem():
+    clock = build_clock(8, 1.0)
+    ext = build_extended(build_system_space(np.diag([0.0, 0.3])), clock)
+    assert verify_kronecker_spectrum(ext) < 1e-10
+    lam, _ = ext.eigensystem()
+    expected = np.sort((ext.system.energies[:, None] + clock.frequencies).ravel())
+    assert verify_kronecker_spectrum(ext) == float(np.max(np.abs(lam - expected)))
 
 
 def test_kronecker_sum_spectrum():

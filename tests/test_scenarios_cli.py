@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chronolab import ConfigError, parse_config
+from chronolab import ClockSpace, ConfigError, ExtendedSpace, parse_config
 from chronolab.cli import main
 from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
 
@@ -190,6 +190,28 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("""
+scenario = bad
+suites = povm-audit
+system.kind = explicit-matrix
+system.energies = 0.0, 0.0
+clock.M = 16
+clock.deltaT = 0.5
+""", 2, "matched frequencies must be distinct"),
+    ("scenario = broken\nsystem.kind = qubit\nfoo = 1\n", 2, "unknown key"),
+    (QUBIT.replace("constraint.expected_dim = 2", "constraint.expected_dim = 5"), 1, ""),
+], ids=["invalid-input", "config-error", "check-failure"])
+def test_cli_all_isolates_the_extra_scenario(tmp_path, capsys, text, code, message):
+    cfg_path = tmp_path / "extra.cfg"
+    cfg_path.write_text(text)
+    assert main(["all", "--config", str(cfg_path)]) == code  # the worst outcome
+    captured = capsys.readouterr()
+    assert captured.out.count("OK:") == 6  # every bundled report still printed
+    if message:
+        assert message in captured.err and str(cfg_path) in captured.err
+
+
 def test_cli_all_runs_bundled(tmp_path, capsys):
     code = main(["all", "--out", str(tmp_path), "--format", "csv", "--seed", "5"])
     captured = capsys.readouterr()
@@ -207,3 +229,31 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+WIDE_CLOCK = """
+scenario = wide
+suites = povm-audit, time-distribution, covariance
+seed = 3
+compare_sigmas = true
+system.kind = explicit-matrix
+system.energies = 0.0, 1.2
+system.snap = true
+clock.M = 512
+clock.deltaT = 0.05
+constraint.expected_dim = 2
+"""
+
+
+def test_spectral_suites_build_no_dense_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ExtendedSpace, "eigensystem", refuse)
+    monkeypatch.setattr(ExtendedSpace, "hamiltonian", property(refuse))
+    monkeypatch.setattr(ClockSpace, "S_op", property(refuse))
+    report = run_scenario(parse_config(WIDE_CLOCK))
+    assert report.passed
+    ids = {r.check_id for r in report.records}
+    assert {"povm.sigma_pair_conjugate_effects", "distribution.conditional_propagator_fidelity",
+            "covariance.physical_marginal_invariance"} <= ids
