@@ -181,6 +181,11 @@ _SECTIONS = {
 
 def _validate(cfg: ScenarioConfig, problems: list):
     sys_c, clk, tol, cla = cfg.system, cfg.clock, cfg.tolerances, cfg.classical
+    # the name is the stem of every artifact file written under --out
+    if (cfg.scenario in ("", ".", "..")
+            or any(ch in cfg.scenario for ch in ("/", "\\", "\0"))):
+        problems.append("scenario must be a file-name stem: non-empty, not '.' or '..', "
+                        f"without '/', '\\' or NUL; got {cfg.scenario!r}")
     if sys_c.kind not in SYSTEM_KINDS:
         problems.append(
             f"system.kind must be one of {', '.join(SYSTEM_KINDS)}; got {sys_c.kind!r}"

@@ -113,9 +113,8 @@ class ClockSpace:
     """M-point clock register with conjugate pair (T_op, S_op) and sign sigma.
 
     `times` are the diagonal of T_op; `frequencies` the (ascending) centered
-    DFT grid, which is exactly the spectrum of S_op; `fourier` the unitary
-    DFT matrix with rows ordered like `frequencies`.  The dense S_op is built
-    on first use only.
+    DFT grid, which is exactly the spectrum of S_op.  The dense M x M views,
+    the unitary DFT `fourier` and S_op, are built on first read only.
     """
 
     M: int
@@ -124,11 +123,19 @@ class ClockSpace:
     sigma: int
     times: np.ndarray
     frequencies: np.ndarray
-    fourier: np.ndarray
 
     @property
     def T_op(self) -> np.ndarray:
         return np.diag(self.times).astype(complex)
+
+    @cached_property
+    def fourier(self) -> np.ndarray:
+        """Unitary DFT matrix with rows ordered like `frequencies`, read-only."""
+        m = np.arange(self.M)
+        k = np.arange(-self.M // 2, self.M // 2)
+        fourier = np.exp(-2j * np.pi * np.outer(k, m) / self.M) / np.sqrt(self.M)
+        fourier.setflags(write=False)
+        return fourier
 
     @cached_property
     def S_op(self) -> np.ndarray:
@@ -173,11 +180,10 @@ def build_clock(M: int, deltaT: float, T0: float = 0.0, sigma: int = 1) -> Clock
     times = T0 + m * deltaT
     k = np.arange(-M // 2, M // 2)
     frequencies = 2 * np.pi * k / (M * deltaT)
-    fourier = np.exp(-2j * np.pi * np.outer(k, m) / M) / np.sqrt(M)
-    for arr in (times, frequencies, fourier):
+    for arr in (times, frequencies):
         arr.setflags(write=False)
     return ClockSpace(M=M, deltaT=float(deltaT), T0=float(T0), sigma=int(sigma),
-                      times=times, frequencies=frequencies, fourier=fourier)
+                      times=times, frequencies=frequencies)
 
 
 def commutator_residual(clock: ClockSpace, phi) -> float:
@@ -269,6 +275,11 @@ def _check_state(ext: ExtendedSpace, psi) -> np.ndarray:
     return psi
 
 
+def _adjoint_apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A^dag x without materialising the conjugate of A."""
+    return (A.T @ x.conj()).conj()
+
+
 def evolve_extended(ext: ExtendedSpace, psi, theta: float, method: str = "kron") -> np.ndarray:
     """exp(-i H_ex theta) psi.
 
@@ -283,13 +294,13 @@ def evolve_extended(ext: ExtendedSpace, psi, theta: float, method: str = "kron")
         sys_s, clk = ext.system, ext.clock
         block = psi.reshape(sys_s.n_levels, clk.M)
         phase_s = np.exp(-1j * theta * sys_s.energies)
-        block = sys_s.vectors @ (phase_s[:, None] * (sys_s.vectors.conj().T @ block))
+        block = sys_s.vectors @ (phase_s[:, None] * _adjoint_apply(sys_s.vectors, block))
         phase_c = np.exp(-1j * theta * ext.sigma * clk.frequencies)
-        block = (clk.fourier.conj().T @ (phase_c[:, None] * (clk.fourier @ block.T))).T
+        block = _adjoint_apply(clk.fourier, phase_c[:, None] * (clk.fourier @ block.T)).T
         return block.reshape(-1)
     if method == "dense":
         lam, W = ext.eigensystem()
-        return W @ (np.exp(-1j * lam * theta) * (W.conj().T @ psi))
+        return W @ (np.exp(-1j * lam * theta) * _adjoint_apply(W, psi))
     raise InvalidInputError(f"unknown evolution method {method!r}")
 
 
@@ -300,9 +311,9 @@ def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t: flo
     if psi_s.shape != (system.n_levels,) or psi_T.shape != (clock.M,):
         raise InvalidInputError("factor dimensions do not match the spaces")
     out_s = system.vectors @ (np.exp(-1j * t * system.energies)
-                              * (system.vectors.conj().T @ psi_s))
-    out_T = clock.fourier.conj().T @ (np.exp(-1j * t * clock.sigma * clock.frequencies)
-                                      * (clock.fourier @ psi_T))
+                              * _adjoint_apply(system.vectors, psi_s))
+    out_T = _adjoint_apply(clock.fourier, np.exp(-1j * t * clock.sigma * clock.frequencies)
+                           * (clock.fourier @ psi_T))
     return out_s, out_T
 
 

@@ -158,18 +158,28 @@ def _system_matrix(cfg: ScenarioConfig, rng) -> np.ndarray:
                       "use qubit, oscillator, explicit-matrix or random-hermitian")
 
 
-def _quantum_setup(cfg: ScenarioConfig, rng, rec: _Recorder | None = None,
-                   sigma: int | None = None):
+def _quantum_setup(cfg: ScenarioConfig, rng, rec: _Recorder, spaces: dict):
+    """Build the configured (system, clock) and return its extended space.
+
+    Suites of one run whose snapped system matrix and clock agree get the
+    same ExtendedSpace from `spaces`, so its dense views and `eigh` are
+    built at most once per run.  The key is content, not config: a
+    random-hermitian system is drawn from each suite's own rng.
+    """
     clock = quantum.build_clock(cfg.clock.M, cfg.clock.deltaT, cfg.clock.T0,
-                                cfg.clock.sigma if sigma is None else sigma)
+                                cfg.clock.sigma)
     system = quantum.build_system_space(_system_matrix(cfg, rng))
     if cfg.system.snap:
         system, shifts = constraint.snap_energies(system, clock)
-        if rec is not None:
-            rec.add("snap_max_shift",
-                    max((abs(new - old) for _, old, new in shifts), default=0.0),
-                    None, "info", note="spectrum snapped onto the clock grid")
-    return system, clock, quantum.build_extended(system, clock)
+        rec.add("snap_max_shift",
+                max((abs(new - old) for _, old, new in shifts), default=0.0),
+                None, "info", note="spectrum snapped onto the clock grid")
+    key = (system.matrix.tobytes(), system.matrix.shape,
+           clock.M, clock.deltaT, clock.T0, clock.sigma)
+    if key not in spaces:
+        spaces[key] = quantum.build_extended(system, clock)
+    ext = spaces[key]
+    return ext.system, ext.clock, ext
 
 
 def _random_coeffs(rng, d: int) -> np.ndarray:
@@ -180,7 +190,8 @@ def _random_coeffs(rng, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_classical_equivalence(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_classical_equivalence(cfg: ScenarioConfig, rng, out: dict,
+                                 spaces: dict) -> _Recorder:
     rec = _Recorder("classical")
     system = _classical_system(cfg)
     x0 = classical.PhaseState(q=np.asarray(cfg.classical.q0),
@@ -223,9 +234,10 @@ def _suite_classical_equivalence(cfg: ScenarioConfig, rng, out: dict) -> _Record
     return rec
 
 
-def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict,
+                               spaces: dict) -> _Recorder:
     rec = _Recorder("quantum")
-    system, clock, ext = _quantum_setup(cfg, rng, rec)
+    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
 
     rec.add("kron_spectrum_deviation", quantum.verify_kronecker_spectrum(ext), 1e-9, "<=")
 
@@ -274,9 +286,10 @@ def _solve_spectral(cfg, ext):
     return constraint.solve_constraint_spectral(ext, cfg.tolerances.eps_match or None)
 
 
-def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
+                            spaces: dict) -> _Recorder:
     rec = _Recorder("constraint")
-    system, clock, ext = _quantum_setup(cfg, rng, rec)
+    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
     eps = cfg.tolerances.eps_match or None
     spectral = constraint.solve_constraint_spectral(ext, eps)
     # the dense kernel route is the oracle the spectral one is compared with
@@ -326,9 +339,10 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     return rec
 
 
-def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
+                      spaces: dict) -> _Recorder:
     rec = _Recorder("povm")
-    system, clock, ext = _quantum_setup(cfg, rng, rec)
+    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
     spectral = _solve_spectral(cfg, ext)
     measure = povm.build_time_povm(spectral)
     out["povm"] = measure
@@ -394,9 +408,10 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     return rec
 
 
-def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
+                             spaces: dict) -> _Recorder:
     rec = _Recorder("distribution")
-    system, clock, ext = _quantum_setup(cfg, rng, rec)
+    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
     spectral = _solve_spectral(cfg, ext)
     measure = povm.build_time_povm(spectral)
     d, M = measure.d, clock.M
@@ -451,9 +466,10 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
     return rec
 
 
-def _suite_covariance(cfg: ScenarioConfig, rng, out: dict) -> _Recorder:
+def _suite_covariance(cfg: ScenarioConfig, rng, out: dict,
+                      spaces: dict) -> _Recorder:
     rec = _Recorder("covariance")
-    system, clock, ext = _quantum_setup(cfg, rng, rec)
+    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
     psi = quantum.separable_state(
         quantum.unit(rng.normal(size=system.n_levels) + 1j * rng.normal(size=system.n_levels)),
         quantum.gaussian_clock_state(clock),
@@ -500,12 +516,13 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
 
     master = _Recorder(cfg.scenario)
     artifacts: dict = {}
+    spaces: dict = {}  # shared extended spaces, dropped when the run ends
     for index, name in enumerate(SUITE_NAMES):
         if name not in chosen:
             continue
         rng = np.random.default_rng((seed, index))
         out: dict = {}
-        master.extend(_SUITES[name](cfg, rng, out))
+        master.extend(_SUITES[name](cfg, rng, out, spaces))
         artifacts[name] = out
 
     report = AuditReport(
@@ -523,7 +540,10 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     if out_dir is not None:
-        _write_artifacts(cfg, report, artifacts, Path(out_dir), formats)
+        try:
+            _write_artifacts(cfg, report, artifacts, Path(out_dir), formats)
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifacts to {out_dir}: {exc}") from exc
     return report
 
 

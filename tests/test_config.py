@@ -1,8 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import ConfigError, parse_config, serialize_config
+from chronolab.config import (
+    SUITE_NAMES,
+    SYSTEM_KINDS,
+    ClassicalConfig,
+    ClockConfig,
+    ConstraintConfig,
+    ScenarioConfig,
+    SystemConfig,
+    ToleranceConfig,
+)
 
 
 MINIMAL = """
@@ -117,3 +129,72 @@ constraint.expect_misses = false
     twice = parse_config(serialize_config(once))
     assert once == twice
     assert serialize_config(once) == serialize_config(twice)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/dir", "../escaped", "a\\b", "nul\0"])
+def test_scenario_name_must_be_a_file_stem(name):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"scenario = {name}\nsystem.kind = qubit\n")
+    assert any(p.startswith("scenario must be a file-name stem") for p in info.value.problems)
+
+
+# --- properties ----------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    n = draw(st.integers(1, 4))
+    return ScenarioConfig(
+        scenario=draw(st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,15}", fullmatch=True)
+                      .filter(lambda name: name not in (".", ".."))),
+        suites=tuple(draw(st.lists(st.sampled_from(SUITE_NAMES), unique=True))),
+        seed=draw(st.integers(0, 2 ** 63)),
+        compare_sigmas=draw(st.booleans()),
+        system=SystemConfig(kind=draw(st.sampled_from(SYSTEM_KINDS)),
+                            n_levels=draw(st.integers(1, 10 ** 6)),
+                            omega=draw(positive),
+                            energies=tuple(draw(st.lists(finite, max_size=5))),
+                            snap=draw(st.booleans())),
+        clock=ClockConfig(M=2 * draw(st.integers(4, 512)), deltaT=draw(positive),
+                          T0=draw(finite), sigma=draw(st.sampled_from((1, -1)))),
+        tolerances=ToleranceConfig(eps_match=draw(st.floats(min_value=0.0,
+                                                            allow_infinity=False)),
+                                   state_deviation=draw(positive),
+                                   time_residual=draw(positive),
+                                   constraint_drift=draw(positive),
+                                   hex_drift=draw(positive)),
+        classical=ClassicalConfig(dt=draw(positive), t_end=draw(positive), t0=draw(finite),
+                                  q0=tuple(draw(st.lists(finite, min_size=n, max_size=n))),
+                                  p0=tuple(draw(st.lists(finite, min_size=n, max_size=n)))),
+        constraint=ConstraintConfig(expected_dim=draw(st.integers(-1, 10 ** 6)),
+                                    expect_misses=draw(st.booleans())),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs())
+def test_serialize_then_parse_is_identity(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+KEYS = [line.split(" = ")[0] for line in serialize_config(ScenarioConfig()).splitlines()]
+
+fuzz_lines = st.one_of(
+    st.tuples(st.sampled_from(KEYS) | st.text(max_size=12), st.text(max_size=24))
+    .map(" = ".join),
+    st.text(max_size=32),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(fuzz_lines, max_size=12).map("\n".join))
+def test_fuzzed_text_parses_or_raises_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass

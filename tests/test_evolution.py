@@ -130,3 +130,27 @@ def test_whole_bin_evolution_shifts_marginal_cyclically(setup):
     before = clock_marginal(psi, clock.M)
     after = clock_marginal(evolve_extended(ext, psi, 3 * clock.deltaT), clock.M)
     assert np.max(np.abs(after - np.roll(before, clock.sigma * 3))) < 1e-12
+
+
+def test_adjoint_products_match_the_conjugate_transpose_formulas(setup):
+    system, clock, ext = setup
+    rng = np.random.default_rng(37)
+    V, F = system.vectors, clock.fourier
+    lam, W = ext.eigensystem()
+    for theta in rng.uniform(-10, 10, size=5):
+        psi = random_state(rng, ext.dim)
+        dense = W @ (np.exp(-1j * lam * theta) * (W.conj().T @ psi))
+        assert np.max(np.abs(evolve_extended(ext, psi, theta, method="dense") - dense)) < 1e-15
+
+        block = psi.reshape(system.n_levels, clock.M)
+        block = V @ (np.exp(-1j * theta * system.energies)[:, None] * (V.conj().T @ block))
+        phase_c = np.exp(-1j * theta * clock.sigma * clock.frequencies)
+        kron = (F.conj().T @ (phase_c[:, None] * (F @ block.T))).T.reshape(-1)
+        assert np.max(np.abs(evolve_extended(ext, psi, theta, method="kron") - kron)) < 1e-15
+
+        psi_s, psi_T = random_state(rng, system.n_levels), random_state(rng, clock.M)
+        out_s, out_T = evolve_factored(system, clock, psi_s, psi_T, theta)
+        ref_s = V @ (np.exp(-1j * theta * system.energies) * (V.conj().T @ psi_s))
+        ref_T = F.conj().T @ (phase_c * (F @ psi_T))
+        assert np.max(np.abs(out_s - ref_s)) < 1e-15
+        assert np.max(np.abs(out_T - ref_T)) < 1e-15

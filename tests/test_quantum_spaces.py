@@ -115,10 +115,24 @@ def test_lazy_s_op_is_the_dft_formula_and_read_only():
 
 def test_s_op_guard_fires_on_a_perturbed_spectrum():
     clock = build_clock(16, 0.5)
-    # a non-unitary transform scales every eigenvalue of F^dag diag(w) F
-    skewed = dataclasses.replace(clock, fourier=clock.fourier * (1 + 1e-6))
+    # a non-unitary transform scales every eigenvalue of F^dag diag(w) F;
+    # seed it into the cache of a fresh clock before S_op is first read
+    skewed = build_clock(16, 0.5)
+    vars(skewed)["fourier"] = clock.fourier * (1 + 1e-6)
     with pytest.raises(NumericalFailureError):
         skewed.S_op
+
+
+def test_lazy_fourier_is_the_dft_formula_and_read_only():
+    clock = build_clock(16, 0.5, T0=1.0, sigma=-1)
+    assert "fourier" not in vars(clock)  # nothing built at build time
+    k, m = np.arange(-8, 8), np.arange(16)
+    F_ref = np.exp(-2j * np.pi * np.outer(k, m) / 16) / np.sqrt(16)
+    assert np.array_equal(clock.fourier, F_ref)
+    assert clock.fourier is clock.fourier  # built once
+    assert not clock.fourier.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clock.fourier = F_ref
 
 
 def test_clock_validation():

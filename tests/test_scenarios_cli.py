@@ -1,9 +1,12 @@
+import gc
 import json
+import math
+import weakref
 
 import numpy as np
 import pytest
 
-from chronolab import ClockSpace, ConfigError, ExtendedSpace, parse_config
+from chronolab import ClockSpace, ConfigError, ExtendedSpace, parse_config, quantum
 from chronolab.cli import main
 from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
 
@@ -190,6 +193,23 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, out, message", [
+    ("sub/dir", "out", "scenario must be a file-name stem"),
+    ("../escaped", "out", "scenario must be a file-name stem"),
+    ("qubit_test", "afile/x", "cannot write artifacts to afile/x"),
+], ids=["separator-in-name", "parent-dir-name", "out-below-a-file"])
+def test_cli_artifact_path_error_exit_code(tmp_path, monkeypatch, capsys, name, out, message):
+    # nothing may be written, least of all outside --out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory")
+    (tmp_path / "input.cfg").write_text(QUBIT.replace("scenario = qubit_test",
+                                                      f"scenario = {name}"))
+    code = main(["constraint-solve", "--config", "input.cfg", "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "input.cfg"]
+
+
 @pytest.mark.parametrize("text, code, message", [
     ("""
 scenario = bad
@@ -257,3 +277,76 @@ def test_spectral_suites_build_no_dense_view(monkeypatch):
     ids = {r.check_id for r in report.records}
     assert {"povm.sigma_pair_conjugate_effects", "distribution.conditional_propagator_fidelity",
             "covariance.physical_marginal_invariance"} <= ids
+
+
+STEP = 2 * math.pi / (32 * 0.25)
+TOY_GRID = f"""
+scenario = toy_grid
+suites = quantum-equivalence, constraint-solve, povm-audit, time-distribution, covariance
+seed = 11
+system.kind = explicit-matrix
+system.energies = {', '.join(repr(-k * STEP) for k in (-9, -2, 3, 8))}
+clock.M = 32
+clock.deltaT = 0.25
+constraint.expected_dim = 4
+"""
+
+RANDOM_PAIR = """
+scenario = random_pair
+suites = quantum-equivalence, constraint-solve
+seed = 5
+system.kind = random-hermitian
+system.n_levels = 3
+system.snap = true
+"""
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Extended spaces whose eigh ran, one entry per decomposition."""
+    filled = []
+    original = ExtendedSpace.eigensystem
+
+    def eigensystem(self):
+        if self._eig is None:
+            filled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExtendedSpace, "eigensystem", eigensystem)
+    return filled
+
+
+def test_one_decomposition_per_distinct_space_per_run(decompositions):
+    cfg = parse_config(TOY_GRID)
+    for runs in (1, 2):  # nothing is cached across calls
+        assert run_scenario(cfg).passed
+        assert len(decompositions) == runs
+    decompositions.clear()
+    # random-hermitian suites draw their own matrices: same config, two spaces
+    assert run_scenario(parse_config(RANDOM_PAIR)).passed
+    assert len(decompositions) == 2
+    assert decompositions[0] is not decompositions[1]
+
+
+def test_extended_spaces_die_with_the_run(monkeypatch):
+    built = []
+    original = quantum.build_extended
+
+    def build_extended(system, clock):
+        ext = original(system, clock)
+        built.append(weakref.ref(ext))
+        return ext
+
+    monkeypatch.setattr(quantum, "build_extended", build_extended)
+    assert run_scenario(parse_config(TOY_GRID)).passed
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
+
+
+def test_povm_suites_never_read_the_dft_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense DFT built")
+
+    monkeypatch.setattr(ClockSpace, "fourier", property(refuse))
+    report = run_scenario(parse_config(WIDE_CLOCK), suites=("povm-audit", "time-distribution"))
+    assert report.passed
