@@ -23,7 +23,6 @@ from .classical import (
     harmonic_oscillator,
     integrate_extended,
     integrate_original,
-    kernel_backend,
     poisson_bracket,
     quartic_oscillator,
 )

@@ -4,13 +4,15 @@ A Hamiltonian system on R^2n is extended by a canonical pair (T, S); fixing
 the extended energy H + S to zero on the initial data makes the extended
 flow in the evolution parameter theta reproduce the original flow in t,
 with T advancing at unit rate and S frozen at minus the energy.  Both flows
-are integrated with the same implicit-midpoint rule so the equivalence can
-be checked trajectory against trajectory.
+are integrated by one implicit-midpoint loop, in pure Python, so the
+equivalence can be checked trajectory against trajectory.  Brackets are
+central differences over one stacked array of probe points.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +37,6 @@ __all__ = [
     "integrate_original",
     "integrate_extended",
     "check_equivalence",
-    "kernel_backend",
 ]
 
 # Fixed-point iteration defaults for the implicit midpoint rule.
@@ -46,27 +47,6 @@ _GRADIENT_PROBE_SEED = 172
 _GRADIENT_PROBE_POINTS = 4
 _GRADIENT_PROBE_STEP = 1e-5
 _GRADIENT_PROBE_RTOL = 1e-6
-
-
-def _load_kernels():
-    if not os.environ.get("CHRONOLAB_PURE_PYTHON"):
-        try:
-            from . import _midpoint as kernels
-
-            return kernels
-        except ImportError:
-            pass
-    from . import _midpoint_py as kernels
-
-    return kernels
-
-
-_KERNELS = _load_kernels()
-
-
-def kernel_backend() -> str:
-    """Name of the stepping backend in use: 'compiled' or 'python'."""
-    return _KERNELS.BACKEND
 
 
 def _as_finite_vector(x, name):
@@ -130,21 +110,24 @@ class HamiltonianSystem:
     """Autonomous system: energy H(q, p) and its gradient, plus a label.
 
     The gradient is probe-checked against central differences of the energy
-    at construction; a mismatch raises InvalidInputError.  `kernel_kind` and
-    `kernel_param` mark built-in systems that may run on the compiled
-    stepping kernels.
+    at construction; a mismatch raises InvalidInputError.  `velocity` is the
+    optional Hamiltonian vector field (q, p) -> (dH/dp, -dH/dq) of a one-dof
+    system on Python floats, probe-checked against `gradient`; the built-in
+    systems set it, and the midpoint loop steps floats through it instead
+    of arrays through `gradient`.
     """
 
     n: int
     energy: Callable[[np.ndarray, np.ndarray], float]
     gradient: Callable[[np.ndarray, np.ndarray], tuple]
     label: str
-    kernel_kind: int | None = None
-    kernel_param: float = 0.0
+    velocity: Callable[[float, float], tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("dimension n must be >= 1")
+        if self.velocity is not None and self.n != 1:
+            raise InvalidInputError("a float velocity field needs a one-dof system")
         self._probe_gradient()
 
     def _probe_gradient(self):
@@ -156,6 +139,14 @@ class HamiltonianSystem:
             gq, gp = self.gradient(q, p)
             gq = np.asarray(gq, dtype=float)
             gp = np.asarray(gp, dtype=float)
+            if self.velocity is not None:
+                vq, vp = self.velocity(float(q[0]), float(p[0]))
+                if (abs(vq - gp[0]) > _GRADIENT_PROBE_RTOL * max(1.0, abs(gp[0]))
+                        or abs(vp + gq[0]) > _GRADIENT_PROBE_RTOL * max(1.0, abs(gq[0]))):
+                    raise InvalidInputError(
+                        f"velocity of '{self.label}' disagrees with its gradient "
+                        f"({(vq, vp)} vs {(gp[0], -gq[0])})"
+                    )
             for i in range(self.n):
                 for arr, grad in ((q, gq), (p, gp)):
                     shift = np.zeros(self.n)
@@ -201,8 +192,10 @@ def harmonic_oscillator(omega: float = 1.0) -> HamiltonianSystem:
     def gradient(q, p):
         return np.array([w2 * q[0]]), np.array([p[0]])
 
-    return HamiltonianSystem(1, energy, gradient, f"harmonic(omega={omega})",
-                             kernel_kind=_KERNELS.HARMONIC, kernel_param=omega)
+    def velocity(q, p):
+        return p, -w2 * q
+
+    return HamiltonianSystem(1, energy, gradient, f"harmonic(omega={omega})", velocity)
 
 
 def free_particle() -> HamiltonianSystem:
@@ -214,8 +207,10 @@ def free_particle() -> HamiltonianSystem:
     def gradient(q, p):
         return np.array([0.0]), np.array([p[0]])
 
-    return HamiltonianSystem(1, energy, gradient, "free-particle",
-                             kernel_kind=_KERNELS.FREE_PARTICLE)
+    def velocity(q, p):
+        return p, 0.0
+
+    return HamiltonianSystem(1, energy, gradient, "free-particle", velocity)
 
 
 def quartic_oscillator() -> HamiltonianSystem:
@@ -227,8 +222,10 @@ def quartic_oscillator() -> HamiltonianSystem:
     def gradient(q, p):
         return np.array([q[0] ** 3]), np.array([p[0]])
 
-    return HamiltonianSystem(1, energy, gradient, "quartic",
-                             kernel_kind=_KERNELS.QUARTIC)
+    def velocity(q, p):
+        return p, -q * q * q
+
+    return HamiltonianSystem(1, energy, gradient, "quartic", velocity)
 
 
 def extend_state(system: HamiltonianSystem, x: PhaseState, t0: float) -> ExtendedPhaseState:
@@ -262,27 +259,38 @@ def coordinate(name: str, index: int = 0):
     raise InvalidInputError(f"unknown coordinate {name!r}")
 
 
-def _flatten(y: ExtendedPhaseState) -> np.ndarray:
-    return np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
+def _trusted(cls, **fields):
+    """Instance of a frozen state class whose fields are already validated."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
-def _unflatten(vec: np.ndarray, n: int) -> ExtendedPhaseState:
-    return ExtendedPhaseState(
-        base=PhaseState(q=vec[:n], p=vec[n:2 * n]), T=vec[2 * n], S=vec[2 * n + 1]
-    )
+def _probe_states(x: np.ndarray, h: np.ndarray, n: int) -> list:
+    """States at x + h_i e_i for every coordinate i, then at x - h_i e_i.
+
+    All probes are rows of one read-only array, checked for finiteness
+    once; each state views its row instead of re-validating a copy.
+    """
+    dim = x.size
+    probes = np.tile(x, (2 * dim, 1))
+    diag = np.arange(dim)
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        probes[diag, diag] += h
+        probes[dim + diag, diag] -= h
+    if not np.all(np.isfinite(probes)):
+        raise InvalidInputError("bracket probe state contains non-finite entries")
+    probes.setflags(write=False)
+    return [
+        _trusted(ExtendedPhaseState,
+                 base=_trusted(PhaseState, q=row[:n], p=row[n:2 * n]), T=T, S=S)
+        for row, T, S in zip(probes, probes[:, 2 * n].tolist(), probes[:, 2 * n + 1].tolist())
+    ]
 
 
-def _numeric_gradient(fun, y: ExtendedPhaseState, rel_step: float) -> np.ndarray:
-    n = y.n
-    x = _flatten(y)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        plus = x.copy()
-        minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (fun(_unflatten(plus, n)) - fun(_unflatten(minus, n))) / (2 * h)
+def _central_differences(fun, states: list, h: np.ndarray) -> np.ndarray:
+    values = np.array([fun(state) for state in states], dtype=float)
+    grad = (values[:h.size] - values[h.size:]) / (2 * h)
     if not np.all(np.isfinite(grad)):
         raise NumericalFailureError("non-finite derivative in bracket evaluation")
     return grad
@@ -292,11 +300,15 @@ def poisson_bracket(f, g, y: ExtendedPhaseState, rel_step: float = 1e-5) -> floa
     """{f, g} at y over all n+1 canonical pairs, including (T, S).
 
     Partial derivatives are central differences with step
-    rel_step * max(1, |coordinate|).
+    rel_step * max(1, |coordinate|); f and g are read on the same probe
+    states.  A probe that leaves the finite range raises InvalidInputError.
     """
     n = y.n
-    df = _numeric_gradient(f, y, rel_step)
-    dg = _numeric_gradient(g, y, rel_step)
+    x = np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    states = _probe_states(x, h, n)
+    df = _central_differences(f, states, h)
+    dg = _central_differences(g, states, h)
     # layout: [q_1..q_n, p_1..p_n, T, S]; T plays q_{n+1}, S plays p_{n+1}
     dfq = np.concatenate([df[:n], [df[2 * n]]])
     dfp = np.concatenate([df[n:2 * n], [df[2 * n + 1]]])
@@ -363,10 +375,10 @@ class Trajectory:
         if self.extended:
             header += ["T", "S"]
             cols += [self.Ts, self.Ss]
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(row % values for values in zip(*(c.tolist() for c in cols)))
 
     @classmethod
     def from_csv(cls, path, integrator="implicit-midpoint"):
@@ -403,69 +415,62 @@ def _step_count(t_end: float, dt: float) -> int:
     return nsteps
 
 
-def _raise_on_failure(fail_step, fail_kind):
-    if fail_kind == 1:
-        raise DivergenceError(f"non-finite state at step {fail_step}", step=fail_step)
-    if fail_kind == 2:
-        raise NumericalFailureError(
-            f"implicit-midpoint iteration stalled at step {fail_step} "
-            f"(max {MIDPOINT_MAX_ITER} iterations)"
-        )
+def _midpoint(velocity, q, p, nsteps, dt, tol, max_iter, finite, sup):
+    """Implicit-midpoint steps of (dq, dp)/dt = velocity(q, p) from (q, p).
 
-
-def _midpoint_generic(system, z0, nsteps, dt, extended, tol, max_iter):
-    """Vector-valued twin of the built-in kernels for arbitrary systems."""
-    n = system.n
-    dim = 2 * n + (2 if extended else 0)
-    traj = np.empty((nsteps + 1, dim))
-    z = np.asarray(z0[: 2 * n], dtype=float).copy()
-    T = float(z0[2 * n]) if extended else 0.0
-    S = float(z0[2 * n + 1]) if extended else 0.0
-    traj[0, : 2 * n] = z
-    if extended:
-        traj[0, 2 * n] = T
-        traj[0, 2 * n + 1] = S
-
-    def vector_field(w):
-        gq, gp = system.gradient(w[:n], w[n:])
-        return np.concatenate([np.asarray(gp, dtype=float), -np.asarray(gq, dtype=float)])
-
+    q and p are Python floats or arrays alike: `finite` tests one block of
+    coordinates and `sup` is its sup-norm, the fixed-point gap.  Returns
+    the lists of q and of p on the nsteps + 1 grid points.
+    """
+    qs = [q]
+    ps = [p]
     for step in range(nsteps):
-        za = z.copy()
-        converged = False
+        qa = q
+        pa = p
         for _ in range(max_iter):
-            zn = z + dt * vector_field(0.5 * (z + za))
-            if not np.all(np.isfinite(zn)):
-                return traj, step, 1
-            delta = np.max(np.abs(zn - za))
-            za = zn
+            fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
+            qn = q + dt * fq
+            pn = p + dt * fp
+            if not (finite(qn) and finite(pn)):
+                raise DivergenceError(f"non-finite state at step {step}", step=step)
+            delta = max(sup(qn - qa), sup(pn - pa))
+            qa = qn
+            pa = pn
             if delta <= tol:
-                converged = True
                 break
-        if not converged:
-            return traj, step, 2
-        z = za
-        if extended:
-            T += dt
-        traj[step + 1, : 2 * n] = z
-        if extended:
-            traj[step + 1, 2 * n] = T
-            traj[step + 1, 2 * n + 1] = S
-    return traj, -1, 0
+        else:
+            raise NumericalFailureError(
+                f"implicit-midpoint iteration stalled at step {step} "
+                f"(max {max_iter} iterations)"
+            )
+        q = qa
+        p = pa
+        qs.append(q)
+        ps.append(p)
+    return qs, ps
 
 
-def _run(system, z0, nsteps, dt, extended, tol, max_iter):
-    if system.kernel_kind is not None and system.n == 1:
-        data, fail_step, fail_kind = _KERNELS.run_midpoint(
-            system.kernel_kind, system.kernel_param, np.asarray(z0, dtype=float),
-            nsteps, dt, extended, tol, max_iter,
-        )
+def _all_finite(block):
+    return bool(np.all(np.isfinite(block)))
+
+
+def _sup(block):
+    return np.max(np.abs(block))
+
+
+def _run(system, q0, p0, nsteps, dt, tol, max_iter):
+    """q and p as (nsteps + 1, n) arrays along the implicit-midpoint flow."""
+    if system.velocity is not None:
+        qs, ps = _midpoint(system.velocity, float(q0[0]), float(p0[0]), nsteps, dt,
+                           tol, max_iter, math.isfinite, abs)
     else:
-        data, fail_step, fail_kind = _midpoint_generic(
-            system, z0, nsteps, dt, extended, tol, max_iter
-        )
-    _raise_on_failure(fail_step, fail_kind)
-    return data
+        def velocity(q, p):
+            gq, gp = system.gradient(q, p)
+            return np.asarray(gp, dtype=float), -np.asarray(gq, dtype=float)
+
+        qs, ps = _midpoint(velocity, q0, p0, nsteps, dt, tol, max_iter, _all_finite, _sup)
+    shape = (nsteps + 1, system.n)
+    return np.array(qs, dtype=float).reshape(shape), np.array(ps, dtype=float).reshape(shape)
 
 
 def integrate_original(system: HamiltonianSystem, x0: PhaseState, t_end: float,
@@ -475,15 +480,8 @@ def integrate_original(system: HamiltonianSystem, x0: PhaseState, t_end: float,
     if x0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     nsteps = _step_count(t_end, dt)
-    z0 = np.concatenate([x0.q, x0.p])
-    data = _run(system, z0, nsteps, dt, False, tol, max_iter)
-    n = system.n
-    return Trajectory(
-        params=dt * np.arange(nsteps + 1),
-        qs=data[:, :n],
-        ps=data[:, n:2 * n],
-        step=dt,
-    )
+    qs, ps = _run(system, x0.q, x0.p, nsteps, dt, tol, max_iter)
+    return Trajectory(params=dt * np.arange(nsteps + 1), qs=qs, ps=ps, step=dt)
 
 
 def integrate_extended(ext: ExtendedSystem, y0: ExtendedPhaseState, theta_end: float,
@@ -494,15 +492,16 @@ def integrate_extended(ext: ExtendedSystem, y0: ExtendedPhaseState, theta_end: f
     if y0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     nsteps = _step_count(theta_end, dtheta)
-    z0 = np.concatenate([y0.base.q, y0.base.p, [y0.T], [y0.S]])
-    data = _run(system, z0, nsteps, dtheta, True, tol, max_iter)
-    n = system.n
+    qs, ps = _run(system, y0.base.q, y0.base.p, nsteps, dtheta, tol, max_iter)
+    # dT/dtheta = dH_ex/dS = 1 and dS/dtheta = -dH_ex/dT = 0 for autonomous
+    # inner systems, so these channels step exactly: T accumulates dtheta.
+    Ts = list(itertools.accumulate(itertools.repeat(dtheta, nsteps), initial=y0.T))
     return Trajectory(
         params=dtheta * np.arange(nsteps + 1),
-        qs=data[:, :n],
-        ps=data[:, n:2 * n],
-        Ts=data[:, 2 * n],
-        Ss=data[:, 2 * n + 1],
+        qs=qs,
+        ps=ps,
+        Ts=np.array(Ts),
+        Ss=np.full(nsteps + 1, y0.S),
         step=dtheta,
     )
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, constraint, povm, quantum, serialize
-from .config import SUITE_NAMES, ScenarioConfig, parse_config, serialize_config
+from .config import SUITE_NAMES, ScenarioConfig, _validate, parse_config, serialize_config
 from .errors import ConfigError, InvalidInputError
 
 __all__ = [
@@ -503,8 +503,13 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
 
     `suites` defaults to the config's own list; `seed` overrides the config
     seed.  When `out_dir` is given the report (and, with 'csv' in formats,
-    the plot-data artifacts) are written there.
+    the plot-data artifacts) are written there.  A config built in code is
+    validated like a parsed one: any problem raises ConfigError.
     """
+    problems: list = []
+    _validate(cfg, problems)
+    if problems:
+        raise ConfigError(problems)
     chosen = tuple(suites) if suites else cfg.suites
     if not chosen:
         raise ConfigError("no suites selected: set `suites` in the config or "
@@ -535,7 +540,6 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "platform": platform.platform(),
-            "kernel_backend": classical.kernel_backend(),
         },
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

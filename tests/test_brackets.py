@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     ExtendedPhaseState,
+    HamiltonianSystem,
+    InvalidInputError,
     NumericalFailureError,
     PhaseState,
     coordinate,
@@ -78,8 +82,6 @@ def test_time_generates_unit_rate():
 
 
 def test_multidim_bracket_pairs():
-    from chronolab import HamiltonianSystem
-
     def energy(q, p):
         return 0.5 * float(p @ p) + 0.5 * float(q @ q)
 
@@ -102,3 +104,106 @@ def test_non_finite_derivative_raises():
 
     with pytest.raises(NumericalFailureError):
         poisson_bracket(exploding, coordinate("S"), y)
+
+
+def reference_bracket(f, g, y, rel_step=1e-5):
+    """The per-probe bracket: one validated state per shifted copy of y."""
+    n = y.n
+
+    def unflatten(vec):
+        return ExtendedPhaseState(
+            base=PhaseState(q=vec[:n], p=vec[n:2 * n]), T=vec[2 * n], S=vec[2 * n + 1]
+        )
+
+    def gradient(fun):
+        x = np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
+        grad = np.empty(x.size)
+        for i in range(x.size):
+            h = rel_step * max(1.0, abs(x[i]))
+            plus = x.copy()
+            minus = x.copy()
+            plus[i] += h
+            minus[i] -= h
+            grad[i] = (fun(unflatten(plus)) - fun(unflatten(minus))) / (2 * h)
+        if not np.all(np.isfinite(grad)):
+            raise NumericalFailureError("non-finite derivative in bracket evaluation")
+        return grad
+
+    df = gradient(f)
+    dg = gradient(g)
+    dfq = np.concatenate([df[:n], [df[2 * n]]])
+    dfp = np.concatenate([df[n:2 * n], [df[2 * n + 1]]])
+    dgq = np.concatenate([dg[:n], [dg[2 * n]]])
+    dgp = np.concatenate([dg[n:2 * n], [dg[2 * n + 1]]])
+    return float(np.dot(dfq, dgp) - np.dot(dfp, dgq))
+
+
+def anharmonic_system(n):
+    def energy(q, p):
+        return 0.5 * float(p @ p) + 0.5 * float(q @ q) + 0.25 * float(q @ q) ** 2
+
+    def gradient(q, p):
+        return q * (1.0 + float(q @ q)), p.copy()
+
+    return HamiltonianSystem(n, energy, gradient, f"anharmonic-{n}d")
+
+
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
+coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bracket_cases(draw):
+    n = draw(st.sampled_from((1, 2, 3)))
+    y = ExtendedPhaseState(
+        base=PhaseState(q=draw(st.lists(coords, min_size=n, max_size=n)),
+                        p=draw(st.lists(coords, min_size=n, max_size=n))),
+        T=draw(coords),
+        S=draw(coords),
+    )
+    names = st.sampled_from(("q", "p", "T", "S", "H_ex"))
+    systems = SYSTEMS if n == 1 else (anharmonic_system(n),)
+    system = draw(st.sampled_from(systems))
+
+    def function(name):
+        if name == "H_ex":
+            ext = system.extended()
+            return lambda state: eval_extended_hamiltonian(ext, state)
+        return coordinate(name, draw(st.integers(0, n - 1)))
+
+    return function(draw(names)), function(draw(names)), y
+
+
+@PROPERTY_SETTINGS
+@given(bracket_cases())
+def test_bracket_matches_per_probe_reference_bit_for_bit(case):
+    f, g, y = case
+    value = poisson_bracket(f, g, y)
+    assert np.array(value).tobytes() == np.array(reference_bracket(f, g, y)).tobytes()
+
+
+def test_probe_states_are_read_only():
+    seen = []
+
+    def record(state):
+        seen.append(state)
+        return state.T
+
+    y = ExtendedPhaseState(base=PhaseState(q=[0.5, -1.0], p=[2.0, 0.0]), T=1.0, S=-2.0)
+    poisson_bracket(record, coordinate("S"), y)
+    assert len(seen) == 2 * (2 * y.n + 2)
+    for state in seen:
+        for block in (state.base.q, state.base.p):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0] = 0.0
+
+
+@pytest.mark.parametrize("q, rel_step", [(1.7e308, 0.1), (np.finfo(float).max, 1e-5)])
+def test_overflowing_probe_raises_invalid_input(q, rel_step):
+    y = ExtendedPhaseState(base=PhaseState(q=[q], p=[0.0]), T=0.0, S=0.0)
+    f, g = coordinate("q"), coordinate("p")
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+        reference_bracket(f, g, y, rel_step)
+    with pytest.raises(InvalidInputError):
+        poisson_bracket(f, g, y, rel_step)

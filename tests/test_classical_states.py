@@ -97,6 +97,21 @@ def test_gradient_probe_rejects_wrong_gradient():
         HamiltonianSystem(1, energy, bad_gradient, "broken")
 
 
+def test_velocity_probe_rejects_a_field_that_disagrees_with_the_gradient():
+    def energy(q, p):
+        return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
+
+    def gradient(q, p):
+        return np.array([q[0]]), np.array([p[0]])
+
+    HamiltonianSystem(1, energy, gradient, "harmonic", lambda q, p: (p, -q))
+    with pytest.raises(InvalidInputError, match="velocity"):
+        HamiltonianSystem(1, energy, gradient, "sign-flipped", lambda q, p: (p, q))
+    with pytest.raises(InvalidInputError, match="one-dof"):
+        HamiltonianSystem(2, lambda q, p: 0.0, lambda q, p: (0 * q, 0 * p), "flat",
+                          lambda q, p: (0.0, 0.0))
+
+
 def test_gradient_probe_accepts_two_dof_system():
     def energy(q, p):
         return 0.5 * float(p @ p) + 0.5 * float(q @ q) + float(q[0] * q[1])

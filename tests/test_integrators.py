@@ -17,7 +17,6 @@ from chronolab import (
     integrate_original,
     quartic_oscillator,
 )
-from chronolab import classical
 
 
 def closed_form_harmonic(t, q0=1.0, p0=0.0, omega=1.0):
@@ -74,8 +73,8 @@ def test_extended_channels_are_exact():
 
 
 def test_generic_path_matches_kernel_path():
-    # The same physics through the generic callable route: a harmonic system
-    # without a kernel code must land on the same trajectory.
+    # The same physics through the generic array route: a harmonic system
+    # without a float velocity field must land on the same trajectory.
     def energy(q, p):
         return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
 
@@ -91,20 +90,49 @@ def test_generic_path_matches_kernel_path():
     assert np.max(np.abs(a.ps - b.ps)) < 1e-13
 
 
-def test_python_backend_matches_active_backend():
-    from chronolab import _midpoint_py
+def reference_midpoint(kind, omega, z0, nsteps, dt, extended, tol=1e-13, max_iter=50):
+    """Float implicit-midpoint stepping with the force written out per kind."""
+    q, p = float(z0[0]), float(z0[1])
+    T, S = (float(z0[2]), float(z0[3])) if extended else (0.0, 0.0)
+    rows = [(q, p, T, S)]
+    for _ in range(nsteps):
+        qa, pa = q, p
+        for _ in range(max_iter):
+            qm = 0.5 * (q + qa)
+            pm = 0.5 * (p + pa)
+            if kind == "harmonic":
+                fp = -(omega * omega) * qm
+            elif kind == "free":
+                fp = 0.0
+            else:
+                fp = -qm * qm * qm
+            qn = q + dt * pm
+            pn = p + dt * fp
+            assert math.isfinite(qn) and math.isfinite(pn)
+            delta = max(abs(qn - qa), abs(pn - pa))
+            qa, pa = qn, pn
+            if delta <= tol:
+                break
+        q, p = qa, pa
+        T += dt if extended else 0.0
+        rows.append((q, p, T, S))
+    return np.array(rows)[:, :4 if extended else 2]
 
-    kernels = classical._KERNELS
-    z0 = np.array([1.0, 0.0])
-    for kind in (kernels.HARMONIC, kernels.FREE_PARTICLE, kernels.QUARTIC):
-        a, fa, ka = kernels.run_midpoint(kind, 1.0, z0, 1000, 1e-3, False, 1e-13, 50)
-        b, fb, kb = _midpoint_py.run_midpoint(kind, 1.0, z0, 1000, 1e-3, False, 1e-13, 50)
-        assert (fa, ka) == (fb, kb) == (-1, 0)
-        assert np.max(np.abs(a - b)) < 1e-13
-    z0e = np.array([1.0, 0.0, 2.0, -0.5])
-    a, _, _ = kernels.run_midpoint(kernels.QUARTIC, 0.0, z0e, 500, 1e-3, True, 1e-13, 50)
-    b, _, _ = _midpoint_py.run_midpoint(kernels.QUARTIC, 0.0, z0e, 500, 1e-3, True, 1e-13, 50)
-    assert np.max(np.abs(a - b)) < 1e-13
+
+@pytest.mark.parametrize("kind, system", [
+    ("harmonic", harmonic_oscillator(1.7)),
+    ("free", free_particle()),
+    ("quartic", quartic_oscillator()),
+])
+def test_builtin_systems_match_reference_stepping(kind, system):
+    x0 = PhaseState(q=[0.9], p=[-0.4])
+    orig = integrate_original(system, x0, 1.0, 1e-3)
+    ref = reference_midpoint(kind, 1.7, [0.9, -0.4], 1000, 1e-3, False)
+    assert np.array_equal(np.column_stack([orig.qs, orig.ps]), ref)
+    y0 = extend_state(system, x0, 2.0)
+    ext = integrate_extended(system.extended(), y0, 1.0, 1e-3)
+    ref = reference_midpoint(kind, 1.7, [0.9, -0.4, 2.0, y0.S], 1000, 1e-3, True)
+    assert np.array_equal(np.column_stack([ext.qs, ext.ps, ext.Ts, ext.Ss]), ref)
 
 
 def test_divergence_reports_step_index():
@@ -174,5 +202,56 @@ def test_trajectory_row_count(tmp_path):
     assert len(lines) == 1001 + 1  # inclusive endpoints plus header
 
 
-def test_kernel_backend_name():
-    assert classical.kernel_backend() in ("compiled", "python")
+
+def reference_csv(traj, path):
+    """The per-value writer: one f-string per number."""
+    n = traj.n
+    header = ["param"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    cols = [traj.params, *traj.qs.T, *traj.ps.T]
+    if traj.extended:
+        header += ["T", "S"]
+        cols += [traj.Ts, traj.Ss]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def iso_2d():
+    def energy(q, p):
+        return 0.5 * float(p @ p) + 0.5 * float(q @ q)
+
+    def gradient(q, p):
+        return q.copy(), p.copy()
+
+    return HamiltonianSystem(2, energy, gradient, "iso-2d")
+
+
+def csv_trajectories():
+    quartic = quartic_oscillator()
+    x1 = PhaseState(q=[1.0], p=[0.0])
+    x2 = PhaseState(q=[0.3, -1.2], p=[0.7, 0.0])
+    tiny = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1.0])
+    return {
+        "original-1": integrate_original(quartic, x1, 0.5, 1e-2),
+        "extended-1": integrate_extended(quartic.extended(),
+                                         extend_state(quartic, x1, -0.25), 0.5, 1e-2),
+        "original-2": integrate_original(iso_2d(), x2, 0.5, 1e-2),
+        "extended-2": integrate_extended(iso_2d().extended(),
+                                         extend_state(iso_2d(), x2, 3.0), 0.5, 1e-2),
+        "signed-zero-subnormal": Trajectory(
+            params=0.5 * np.arange(6), qs=np.stack([tiny, -tiny], axis=1),
+            ps=np.stack([tiny[::-1], np.full(6, -0.0)], axis=1),
+            Ts=-tiny, Ss=tiny[::-1]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(csv_trajectories()))
+def test_csv_matches_per_value_writer_byte_for_byte(tmp_path, name):
+    traj = csv_trajectories()[name]
+    traj.to_csv(tmp_path / "fast.csv")
+    reference_csv(traj, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    if name == "signed-zero-subnormal":
+        assert b"-0," in fast and b"4.9406564584124654e-324" in fast

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from chronolab import ClockSpace, ConfigError, ExtendedSpace, parse_config, quantum
+from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, parse_config,
+                       quantum)
 from chronolab.cli import main
 from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
 
@@ -53,7 +54,6 @@ def test_report_structure(tmp_path):
     assert doc["passed"] is True
     ids = [r["check_id"] for r in doc["records"]]
     assert len(ids) == len(set(ids))  # unique check ids
-    assert doc["environment"]["kernel_backend"] in ("compiled", "python")
     assert len(doc["config_digest"]) == 64
     # povm summary artifact carries the headline numbers
     povm_doc = json.loads((tmp_path / "qubit_test.povm.json").read_text())
@@ -71,6 +71,14 @@ def test_run_scenario_seed_override():
     report = run_scenario(cfg, seed=99)
     assert report.seed == 99
     assert report.passed
+
+
+def test_run_scenario_rejects_an_unvalidated_config(tmp_path):
+    # built in code, not parsed: the name would put artifacts beside `out`
+    cfg = ScenarioConfig(scenario="../escaped", suites=("constraint-solve",))
+    with pytest.raises(ConfigError, match="file-name stem"):
+        run_scenario(cfg, out_dir=tmp_path / "out", formats=("json", "csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_scenario_requires_suites():
