@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
-from .quantum import ExtendedSpace, SystemSpace, build_system_space, clock_marginal, evolve_extended
+from .quantum import (ExtendedSpace, SystemSpace, _hex_apply, build_system_space,
+                      clock_marginal, evolve_extended, unit)
 
 __all__ = [
     "MatchedPair",
@@ -219,10 +220,7 @@ def make_physical_state(sub: PhysicalSubspace, coeffs) -> PhysicalState:
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (sub.d,):
         raise InvalidInputError(f"need {sub.d} coefficients, got shape {c.shape}")
-    norm = np.linalg.norm(c)
-    if norm == 0 or not np.isfinite(norm):
-        raise InvalidInputError("coefficient vector must be nonzero and finite")
-    c = c / norm
+    c = unit(c)
     return PhysicalState(subspace=sub, coeffs=c, vector=sub.basis @ c)
 
 
@@ -246,7 +244,7 @@ def project_physical(sub: PhysicalSubspace, psi) -> tuple[PhysicalState | None, 
 
 def constraint_residual(ext: ExtendedSpace, vec) -> float:
     """||H_ex v|| for a unit vector; zero on the exact kernel."""
-    return float(np.linalg.norm(ext.hamiltonian @ np.asarray(vec, dtype=complex)))
+    return float(np.linalg.norm(_hex_apply(ext, np.asarray(vec, dtype=complex))))
 
 
 @dataclass(frozen=True)

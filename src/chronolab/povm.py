@@ -31,7 +31,7 @@ import numpy as np
 
 from .constraint import PhysicalState, PhysicalSubspace
 from .errors import InvalidInputError, NoPhysicalStatesError, NumericalFailureError
-from .quantum import ClockSpace, ExtendedSpace, clock_marginal, evolve_extended
+from .quantum import ClockSpace, ExtendedSpace, clock_marginal, evolve_extended, unit
 
 __all__ = [
     "TimePOVM",
@@ -195,11 +195,7 @@ def gram_of_restricted_time_states(sub: PhysicalSubspace) -> np.ndarray:
 def _coeffs_of(state) -> np.ndarray:
     if isinstance(state, PhysicalState):
         return state.coeffs
-    c = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(c)
-    if norm == 0 or not np.isfinite(norm):
-        raise InvalidInputError("coefficient vector must be nonzero and finite")
-    return c / norm
+    return unit(state)
 
 
 def time_distribution(povm: TimePOVM, state) -> np.ndarray:

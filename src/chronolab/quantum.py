@@ -1,16 +1,19 @@
 """Quantum side: truncated system space, discretized clock, extended space.
 
-The clock is an M-point grid register.  T_op multiplies by the grid times;
-S_op is the spectral derivative F' diag(w) F built from the unitary DFT with
-the centered frequency grid w_k = 2 pi k / (M dT), k in [-M/2, M/2).  The
+The clock is an M-point grid register.  T multiplies by the grid times;
+S is the spectral derivative F^dag diag(w) F, with F the unitary DFT and
+w_k = 2 pi k / (M dT), k in [-M/2, M/2), the centered frequency grid.  The
 pair satisfies [T, S] ~ i on states that vanish near the grid boundary; the
 exact commutator is unreachable in finite dimension and is treated as an
 approximation property throughout.
 
 The sign convention sigma = +/-1 enters once, in the extended generator
-H_ex = H_s (x) I + sigma (I (x) S_op); flipping it conjugates every clock
+H_ex = H_s (x) I + sigma (I (x) S); flipping it conjugates every clock
 phase downstream.  Basis ordering is system-major: index = i * M + m.
 Units: hbar = 1.
+
+H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT;
+the dense S_op, H_ex and eigensystem() are built only for the oracles.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def unit(vec) -> np.ndarray:
     """Normalize to a unit vector (complex128)."""
     vec = np.asarray(vec, dtype=complex)
     norm = np.linalg.norm(vec)
-    if norm == 0 or not np.isfinite(norm):
+    if not 0 < norm < np.inf:  # also false for NaN
         raise InvalidInputError("cannot normalize a zero or non-finite vector")
     return vec / norm
 
@@ -110,11 +113,11 @@ def build_system_space(hamiltonian) -> SystemSpace:
 
 @dataclass(frozen=True)
 class ClockSpace:
-    """M-point clock register with conjugate pair (T_op, S_op) and sign sigma.
+    """M-point clock register with conjugate pair (T, S) and sign sigma.
 
-    `times` are the diagonal of T_op; `frequencies` the (ascending) centered
-    DFT grid, which is exactly the spectrum of S_op.  The dense M x M views,
-    the unitary DFT `fourier` and S_op, are built on first read only.
+    `times` are the diagonal of T; `frequencies` the (ascending) centered
+    DFT grid, which is exactly the spectrum of S.  S is applied by FFT; the
+    dense M x M S_op is an oracle view, built on first read only.
     """
 
     M: int
@@ -124,24 +127,12 @@ class ClockSpace:
     times: np.ndarray
     frequencies: np.ndarray
 
-    @property
-    def T_op(self) -> np.ndarray:
-        return np.diag(self.times).astype(complex)
-
-    @cached_property
-    def fourier(self) -> np.ndarray:
-        """Unitary DFT matrix with rows ordered like `frequencies`, read-only."""
-        m = np.arange(self.M)
-        k = np.arange(-self.M // 2, self.M // 2)
-        fourier = np.exp(-2j * np.pi * np.outer(k, m) / self.M) / np.sqrt(self.M)
-        fourier.setflags(write=False)
-        return fourier
-
     @cached_property
     def S_op(self) -> np.ndarray:
         """Dense F^dag diag(w) F, read-only; its spectrum is checked against
         `frequencies` to 1e-10."""
-        S_op = self.fourier.conj().T @ (self.frequencies[:, None] * self.fourier)
+        # row j of the clock apply to the identity is S e_j, the column j of S
+        S_op = _clock_apply(self.frequencies, np.eye(self.M)).T
         S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
         if np.max(np.abs(np.linalg.eigvalsh(S_op) - self.frequencies)) > 1e-10:
             raise NumericalFailureError("S_op spectrum deviates from the frequency grid")
@@ -159,9 +150,13 @@ class ClockSpace:
         m = np.arange(self.M)
         return np.exp(2j * np.pi * k * m / self.M) / np.sqrt(self.M)
 
-    def freq_index(self, k: int) -> int:
-        """Position of integer frequency k in the `frequencies` array."""
-        return int(k) + self.M // 2
+
+def _clock_apply(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F^dag diag(`diag`) F along the last (clock) axis of x, by FFT."""
+    half = diag.shape[-1] // 2  # `diag` runs like `frequencies`, FFT order from k = 0
+    in_fft_order = np.concatenate((diag[half:], diag[:half]))
+    return np.fft.ifft(in_fft_order * np.fft.fft(x, axis=-1, norm="ortho"),
+                       axis=-1, norm="ortho")
 
 
 def build_clock(M: int, deltaT: float, T0: float = 0.0, sigma: int = 1) -> ClockSpace:
@@ -199,7 +194,8 @@ def commutator_residual(clock: ClockSpace, phi) -> float:
         raise InvalidInputError("phi must be a clock-register vector")
     if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
         raise InvalidInputError("phi must be normalized")
-    r = clock.times * (clock.S_op @ phi) - clock.S_op @ (clock.times * phi) - 1j * phi
+    w = clock.frequencies
+    r = clock.times * _clock_apply(w, phi) - _clock_apply(w, clock.times * phi) - 1j * phi
     return float(np.linalg.norm(r))
 
 
@@ -275,9 +271,17 @@ def _check_state(ext: ExtendedSpace, psi) -> np.ndarray:
     return psi
 
 
-def _adjoint_apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A^dag x without materialising the conjugate of A."""
-    return (A.T @ x.conj()).conj()
+def _eigenbasis_apply(V: np.ndarray, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V diag(`diag`) V^dag along the first axis of a vector or matrix x;
+    V^dag x is formed as (V^T x*)* without materialising the conjugate of V."""
+    return V @ (diag * (V.T @ x.conj()).conj().T).T
+
+
+def _hex_apply(ext: ExtendedSpace, psi: np.ndarray) -> np.ndarray:
+    """H_ex psi in factored form: H_s X + sigma (S along the clock axis of X)."""
+    block = psi.reshape(ext.system.n_levels, ext.clock.M)
+    return (ext.system.matrix @ block
+            + ext.sigma * _clock_apply(ext.clock.frequencies, block)).reshape(-1)
 
 
 def evolve_extended(ext: ExtendedSpace, psi, theta: float, method: str = "kron") -> np.ndarray:
@@ -293,14 +297,12 @@ def evolve_extended(ext: ExtendedSpace, psi, theta: float, method: str = "kron")
     if method == "kron":
         sys_s, clk = ext.system, ext.clock
         block = psi.reshape(sys_s.n_levels, clk.M)
-        phase_s = np.exp(-1j * theta * sys_s.energies)
-        block = sys_s.vectors @ (phase_s[:, None] * _adjoint_apply(sys_s.vectors, block))
-        phase_c = np.exp(-1j * theta * ext.sigma * clk.frequencies)
-        block = _adjoint_apply(clk.fourier, phase_c[:, None] * (clk.fourier @ block.T)).T
+        block = _eigenbasis_apply(sys_s.vectors, np.exp(-1j * theta * sys_s.energies), block)
+        block = _clock_apply(np.exp(-1j * theta * ext.sigma * clk.frequencies), block)
         return block.reshape(-1)
     if method == "dense":
         lam, W = ext.eigensystem()
-        return W @ (np.exp(-1j * lam * theta) * _adjoint_apply(W, psi))
+        return _eigenbasis_apply(W, np.exp(-1j * lam * theta), psi)
     raise InvalidInputError(f"unknown evolution method {method!r}")
 
 
@@ -310,10 +312,8 @@ def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t: flo
     psi_T = np.asarray(psi_T, dtype=complex)
     if psi_s.shape != (system.n_levels,) or psi_T.shape != (clock.M,):
         raise InvalidInputError("factor dimensions do not match the spaces")
-    out_s = system.vectors @ (np.exp(-1j * t * system.energies)
-                              * _adjoint_apply(system.vectors, psi_s))
-    out_T = _adjoint_apply(clock.fourier, np.exp(-1j * t * clock.sigma * clock.frequencies)
-                           * (clock.fourier @ psi_T))
+    out_s = _eigenbasis_apply(system.vectors, np.exp(-1j * t * system.energies), psi_s)
+    out_T = _clock_apply(np.exp(-1j * t * clock.sigma * clock.frequencies), psi_T)
     return out_s, out_T
 
 
@@ -324,13 +324,13 @@ class UncertaintyProduct(NamedTuple):
 
 
 def uncertainty_product(ext: ExtendedSpace, psi) -> UncertaintyProduct:
-    """Spreads of H_ex and of the time register T = I (x) T_op, and their product.
+    """Spreads of H_ex and of the time register I (x) T, and their product.
 
     The continuum bound product >= 1/2 holds for states localized away from
     the grid boundary; boundary-dominated states may dip below it.
     """
     psi = _check_state(ext, psi)
-    h_psi = ext.hamiltonian @ psi
+    h_psi = _hex_apply(ext, psi)
     mean_h = float(np.vdot(psi, h_psi).real)
     centered = h_psi - mean_h * psi  # avoids the <H^2> - <H>^2 cancellation
     var_h = float(np.vdot(centered, centered).real)

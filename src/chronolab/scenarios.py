@@ -9,6 +9,7 @@ byte-identical report up to the timestamp field.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -183,8 +184,7 @@ def _quantum_setup(cfg: ScenarioConfig, rng, rec: _Recorder, spaces: dict):
 
 
 def _random_coeffs(rng, d: int) -> np.ndarray:
-    c = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return c / np.linalg.norm(c)
+    return quantum.unit(rng.normal(size=d) + 1j * rng.normal(size=d))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +322,10 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
         rec.add("basis_orthonormality",
                 float(np.max(np.abs(gram - np.eye(spectral.d)))), 1e-10, "<=")
 
-        # B^dag (I (x) S_op) B, with S_op applied along the clock axis of B
-        s_basis = clock.S_op @ spectral.basis.reshape(system.n_levels, clock.M, spectral.d)
-        restricted = spectral.basis.conj().T @ s_basis.reshape(-1, spectral.d)
+        # B^dag (I (x) S) B, with S applied along the clock axis of each column
+        columns = spectral.basis.T.reshape(spectral.d, system.n_levels, clock.M)
+        s_basis = quantum._clock_apply(clock.frequencies, columns).reshape(spectral.d, -1)
+        restricted = spectral.basis.conj().T @ s_basis.T
         expected = np.diag([-clock.sigma * p.energy for p in spectral.pairs])
         rec.add("restricted_s_matrix",
                 float(np.max(np.abs(restricted - expected))), 1e-9, "<=")
@@ -384,8 +385,7 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
         rec.add("sigma_pair_conjugate_effects",
                 float(np.max(np.abs(measure_b.effects - measure.effects.conj()))),
                 1e-12, "<=")
-        c = rng.normal(size=measure.d)
-        c = c / np.linalg.norm(c)
+        c = quantum.unit(rng.normal(size=measure.d))
         rec.add("sigma_pair_real_distribution",
                 float(np.max(np.abs(povm.time_distribution(measure, c)
                                     - povm.time_distribution(measure_b, c)))),
@@ -434,14 +434,13 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
 
         state = constraint.make_physical_state(spectral, c)
         worst = 1.0
-        step_u = system.vectors @ np.diag(
-            np.exp(-1j * clock.sigma * system.energies * clock.deltaT)
-        ) @ system.vectors.conj().T
+        step_phases = np.exp(-1j * clock.sigma * system.energies * clock.deltaT)
         for _ in range(20):
             trial = constraint.make_physical_state(spectral, _random_coeffs(rng, d))
             cond = povm.conditional_states(spectral, trial)
             # bin m + 1 (cyclic) against one propagator step from bin m
-            overlaps = np.sum(np.roll(cond, -1, axis=1).conj() * (step_u @ cond), axis=0)
+            stepped = quantum._eigenbasis_apply(system.vectors, step_phases, cond)
+            overlaps = np.sum(np.roll(cond, -1, axis=1).conj() * stepped, axis=0)
             worst = min(worst, float(np.min(np.abs(overlaps))))
         rec.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=")
 
@@ -503,11 +502,13 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
 
     `suites` defaults to the config's own list; `seed` overrides the config
     seed.  When `out_dir` is given the report (and, with 'csv' in formats,
-    the plot-data artifacts) are written there.  A config built in code is
-    validated like a parsed one: any problem raises ConfigError.
+    the plot-data artifacts) are written there.  A config built in code, and
+    the seed override, are validated like a parsed config: any problem
+    raises ConfigError.
     """
+    seed = cfg.seed if seed is None else int(seed)
     problems: list = []
-    _validate(cfg, problems)
+    _validate(dataclasses.replace(cfg, seed=seed), problems)
     if problems:
         raise ConfigError(problems)
     chosen = tuple(suites) if suites else cfg.suites
@@ -517,7 +518,6 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
     for name in chosen:
         if name not in _SUITES:
             raise ConfigError(f"unknown suite {name!r}")
-    seed = cfg.seed if seed is None else int(seed)
 
     master = _Recorder(cfg.scenario)
     artifacts: dict = {}

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
+    ClockSpace,
+    ExtendedSpace,
     build_clock,
     build_extended,
     build_system_space,
+    commutator_residual,
+    covariance_report,
     evolve_extended,
     evolve_factored,
     gaussian_clock_state,
+    make_physical_state,
     separable_state,
+    snap_energies,
+    solve_constraint_spectral,
+    stationarity_check,
+    uncertainty_product,
 )
+from chronolab.constraint import constraint_residual
 from chronolab.quantum import clock_marginal, fidelity, unit
 
 
@@ -132,10 +144,17 @@ def test_whole_bin_evolution_shifts_marginal_cyclically(setup):
     assert np.max(np.abs(after - np.roll(before, clock.sigma * 3))) < 1e-12
 
 
+def reduced_angle_dft(M):
+    # unitary DFT, rows ordered like `frequencies`; k * m is reduced mod M
+    # before the angle is formed, so every entry is accurate to rounding
+    k, m = np.arange(-M // 2, M // 2), np.arange(M)
+    return np.exp(-2j * np.pi * (np.outer(k, m) % M) / M) / np.sqrt(M)
+
+
 def test_adjoint_products_match_the_conjugate_transpose_formulas(setup):
     system, clock, ext = setup
     rng = np.random.default_rng(37)
-    V, F = system.vectors, clock.fourier
+    V, F = system.vectors, reduced_angle_dft(clock.M)
     lam, W = ext.eigensystem()
     for theta in rng.uniform(-10, 10, size=5):
         psi = random_state(rng, ext.dim)
@@ -154,3 +173,76 @@ def test_adjoint_products_match_the_conjugate_transpose_formulas(setup):
         ref_T = F.conj().T @ (phase_c * (F @ psi_T))
         assert np.max(np.abs(out_s - ref_s)) < 1e-15
         assert np.max(np.abs(out_T - ref_T)) < 1e-15
+
+
+@settings(deadline=None, derandomize=True)
+@given(M=st.integers(4, 64).map(lambda half: 2 * half), n=st.integers(1, 4),
+       sigma=st.sampled_from((1, -1)), deltaT=st.floats(0.05, 2.0),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_whole_bin_shift_and_fft_propagator_on_random_spectra(M, n, sigma, deltaT, data, seed):
+    j = data.draw(st.integers(-M, M), label="bins")
+    rng = np.random.default_rng(seed)
+    ext = build_extended(build_system_space(random_hermitian(rng, n)),
+                         build_clock(M, deltaT, sigma=sigma))
+    psi = random_state(rng, ext.dim)
+    report = covariance_report(ext, psi, j * deltaT)
+    assert report.interpolated is False
+    assert report.shift_deviation <= 1e-12
+    kron = evolve_extended(ext, psi, j * deltaT, method="kron")
+    dense = evolve_extended(ext, psi, j * deltaT, method="dense")
+    assert np.max(np.abs(kron - dense)) <= 1e-10  # kron_dense_agreement's threshold
+
+
+def test_dense_views_are_read_by_the_oracles_only(monkeypatch):
+    rng = np.random.default_rng(41)
+    clock = build_clock(32, 0.25, T0=-2.0, sigma=-1)
+    system, _ = snap_energies(build_system_space(random_hermitian(rng, 3)), clock)
+    ext = build_extended(system, clock)
+    sub = solve_constraint_spectral(ext)
+    phys = make_physical_state(sub, rng.normal(size=sub.d) + 1j * rng.normal(size=sub.d))
+    psi = random_state(rng, ext.dim)
+    psi_s, psi_T = random_state(rng, system.n_levels), random_state(rng, clock.M)
+    packet = gaussian_clock_state(clock, width=clock.M * clock.deltaT / 16)
+    thetas = (0.1, 1.0, 10.0)
+
+    # references through the dense operators
+    H, S = ext.hamiltonian, clock.S_op
+    lam, W = ext.eigensystem()
+    mu, U = np.linalg.eigh(S)
+
+    def dense_evolve(vec, theta):
+        return W @ (np.exp(-1j * lam * theta) * (W.conj().T @ vec))
+
+    h_psi = H @ psi
+    ref_d_energy = np.linalg.norm(h_psi - np.vdot(psi, h_psi).real * psi)
+    ref_kron = dense_evolve(psi, 2.3)
+    ref_T = U @ (np.exp(-1j * clock.sigma * 2.3 * mu) * (U.conj().T @ psi_T))
+    ref_residual = np.linalg.norm(H @ phys.vector), np.linalg.norm(H @ psi)
+    times = clock.times
+    ref_commutator = np.linalg.norm(times * (S @ packet) - S @ (times * packet) - 1j * packet)
+    before = clock_marginal(psi, clock.M)
+    after = clock_marginal(dense_evolve(psi, 5 * clock.deltaT), clock.M)
+    ref_shift = np.max(np.abs(after - np.roll(before, clock.sigma * 5)))
+    ref_stationary = np.max(np.abs(after - before))
+    ref_fids = [abs(np.vdot(phys.vector, dense_evolve(phys.vector, t))) for t in thetas]
+    tol = 1e-12 * max(1.0, np.linalg.norm(H, np.inf))
+
+    def refuse(self):
+        raise AssertionError("dense view read outside an oracle")
+
+    monkeypatch.setattr(ClockSpace, "S_op", property(refuse))
+    monkeypatch.setattr(ExtendedSpace, "hamiltonian", property(refuse))
+    monkeypatch.setattr(ExtendedSpace, "eigensystem", refuse)
+
+    assert np.max(np.abs(evolve_extended(ext, psi, 2.3) - ref_kron)) <= tol
+    _, out_T = evolve_factored(system, clock, psi_s, psi_T, 2.3)
+    assert np.max(np.abs(out_T - ref_T)) <= tol
+    assert abs(uncertainty_product(ext, psi).d_energy - ref_d_energy) <= tol
+    assert abs(constraint_residual(ext, phys.vector) - ref_residual[0]) <= tol
+    assert abs(constraint_residual(ext, psi) - ref_residual[1]) <= tol
+    assert abs(commutator_residual(clock, packet) - ref_commutator) <= tol
+    report = covariance_report(ext, psi, 5 * clock.deltaT)
+    assert abs(report.shift_deviation - ref_shift) <= tol
+    assert abs(report.stationary_deviation - ref_stationary) <= tol
+    fids = stationarity_check(ext, phys, thetas).fidelities
+    assert np.max(np.abs(np.array(fids) - ref_fids)) <= tol

