@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
-from .quantum import (ExtendedSpace, SystemSpace, _hex_apply, build_system_space,
-                      clock_marginal, evolve_extended, unit)
+from .quantum import (ExtendedSpace, SystemSpace, _eigenbasis_apply, _hex_apply,
+                      build_system_space, clock_marginal, evolve_extended, unit)
 
 __all__ = [
     "MatchedPair",
@@ -207,9 +207,8 @@ def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:
         snapped = -sigma * k * step
         new_energies[i] = snapped
         shifts.append((i, float(energy), float(snapped)))
-    V = system.vectors
-    H_new = V @ np.diag(new_energies) @ V.conj().T
-    H_new = 0.5 * (H_new + H_new.conj().T)
+    # rows of the identity give (V diag V^dag)^T; build_system_space symmetrises
+    H_new = _eigenbasis_apply(system.vectors, new_energies, np.eye(system.n_levels)).T
     return build_system_space(H_new), tuple(shifts)
 
 
@@ -263,12 +262,10 @@ def stationarity_check(ext: ExtendedSpace, phys: PhysicalState, thetas) -> Stati
     Exact-kernel states are frozen (fidelity 1 up to a global phase); a
     residual r degrades the short-time overlap by at most (r theta)^2 / 2.
     """
-    fids = []
-    for theta in thetas:
-        evolved = evolve_extended(ext, phys.vector, float(theta))
-        fids.append(float(abs(np.vdot(phys.vector, evolved))))
-    return StationarityReport(thetas=tuple(float(t) for t in thetas),
-                              fidelities=tuple(fids))
+    thetas = tuple(float(t) for t in thetas)
+    evolved = evolve_extended(ext, phys.vector, np.array(thetas))
+    fids = np.abs(evolved @ phys.vector.conj())
+    return StationarityReport(thetas=thetas, fidelities=tuple(map(float, fids)))
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:

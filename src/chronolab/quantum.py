@@ -64,9 +64,11 @@ def fidelity(a, b) -> float:
 
 
 def separable_state(system_vec, clock_vec) -> np.ndarray:
-    """Product state in the system-major ordering (index = i * M + m)."""
-    return np.kron(np.asarray(system_vec, dtype=complex),
-                   np.asarray(clock_vec, dtype=complex))
+    """Product state in the system-major ordering (index = i * M + m); the
+    leading axes of stacked factors broadcast."""
+    product = (np.asarray(system_vec, dtype=complex)[..., :, None]
+               * np.asarray(clock_vec, dtype=complex)[..., None, :])
+    return product.reshape(product.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,10 @@ class ClockSpace:
 
 
 def _clock_apply(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F^dag diag(`diag`) F along the last (clock) axis of x, by FFT."""
+    """F^dag diag(`diag`) F along the last (clock) axis of x, by FFT; the
+    leading axes of `diag` broadcast against those of x."""
     half = diag.shape[-1] // 2  # `diag` runs like `frequencies`, FFT order from k = 0
-    in_fft_order = np.concatenate((diag[half:], diag[:half]))
+    in_fft_order = np.concatenate((diag[..., half:], diag[..., :half]), axis=-1)
     return np.fft.ifft(in_fft_order * np.fft.fft(x, axis=-1, norm="ortho"),
                        axis=-1, norm="ortho")
 
@@ -221,14 +224,24 @@ class ExtendedSpace:
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
-        """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only."""
+        """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only.
+
+        Written into one zeroed (n, M, n, M) array: H_s on the clock diagonal
+        of every block, sigma S_op on each system-diagonal block.  The
+        Hermiticity guard reads the factors; the sum of their violations
+        bounds that of H_ex from above.
+        """
         system, clock = self.system, self.clock
-        H_ex = (np.kron(system.matrix, np.eye(clock.M))
-                + clock.sigma * np.kron(np.eye(system.n_levels), clock.S_op))
-        herm = float(np.max(np.abs(H_ex - H_ex.conj().T)))
+        n, M = system.n_levels, clock.M
+        herm = (float(np.max(np.abs(system.matrix - system.matrix.conj().T)))
+                + float(np.max(np.abs(clock.S_op - clock.S_op.conj().T))))
         if herm > 1e-12:
             raise NumericalFailureError(f"H_ex Hermiticity violated at {herm:.3e}")
-        H_ex = 0.5 * (H_ex + H_ex.conj().T)
+        H_ex = np.zeros((n, M, n, M), dtype=complex)
+        bins, levels = np.arange(M), np.arange(n)
+        H_ex[:, bins, :, bins] = system.matrix
+        H_ex[levels, :, levels, :] += clock.sigma * clock.S_op
+        H_ex = H_ex.reshape(self.dim, self.dim)
         H_ex.setflags(write=False)
         return H_ex
 
@@ -262,19 +275,18 @@ def verify_kronecker_spectrum(ext: ExtendedSpace) -> float:
     return float(np.max(np.abs(actual - expected)))
 
 
-def _check_state(ext: ExtendedSpace, psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (ext.dim,):
-        raise InvalidInputError(
-            f"state length {psi.size} does not match the extended dimension {ext.dim}"
-        )
-    return psi
-
-
 def _eigenbasis_apply(V: np.ndarray, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """V diag(`diag`) V^dag along the first axis of a vector or matrix x;
-    V^dag x is formed as (V^T x*)* without materialising the conjugate of V."""
-    return V @ (diag * (V.T @ x.conj()).conj().T).T
+    """V diag(`diag`) V^dag along the last axis of x; the leading axes of
+    `diag` broadcast against those of x.
+
+    V^dag is applied to the distinct rows of x as (x* V)*, without
+    materialising the conjugate of V, and V to every broadcast row; each is
+    one matrix product over the whole stack.
+    """
+    d = V.shape[0]
+    coeffs = (x.reshape(-1, d).conj() @ V).conj().reshape(x.shape)
+    scaled = diag * coeffs
+    return (scaled.reshape(-1, d) @ V.T).reshape(scaled.shape)
 
 
 def _hex_apply(ext: ExtendedSpace, psi: np.ndarray) -> np.ndarray:
@@ -284,34 +296,64 @@ def _hex_apply(ext: ExtendedSpace, psi: np.ndarray) -> np.ndarray:
             + ext.sigma * _clock_apply(ext.clock.frequencies, block)).reshape(-1)
 
 
-def evolve_extended(ext: ExtendedSpace, psi, theta: float, method: str = "kron") -> np.ndarray:
+def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.ndarray:
     """exp(-i H_ex theta) psi.
 
     method 'kron' factors the propagator through the two eigenbases (exact
     at rounding level); 'dense' goes through the numerical eigendecomposition
     of the assembled H_ex and serves as the independent cross-check.
+
+    psi is (..., dim) and theta a scalar or an array; their leading axes
+    broadcast numpy-style, so the result is
+    broadcast(psi.shape[:-1], theta.shape) + (dim,).
     """
-    psi = _check_state(ext, psi)
-    if not np.isfinite(theta):
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1:] != (ext.dim,):
+        raise InvalidInputError(
+            f"state shape {psi.shape} does not end in the extended dimension {ext.dim}"
+        )
+    theta = np.asarray(theta)
+    if not np.isfinite(theta).all():
         raise InvalidInputError("theta must be finite")
+    try:
+        np.broadcast_shapes(psi.shape[:-1], theta.shape)
+    except ValueError:
+        raise InvalidInputError(f"state stack {psi.shape[:-1]} does not broadcast "
+                                f"against theta {theta.shape}") from None
     if method == "kron":
         sys_s, clk = ext.system, ext.clock
-        block = psi.reshape(sys_s.n_levels, clk.M)
-        block = _eigenbasis_apply(sys_s.vectors, np.exp(-1j * theta * sys_s.energies), block)
+        block = psi.reshape(psi.shape[:-1] + (sys_s.n_levels, clk.M))
+        theta = theta[..., None, None]
+        # the system factor acts on the level axis: it goes last and back
+        block = _eigenbasis_apply(sys_s.vectors, np.exp(-1j * theta * sys_s.energies),
+                                  block.swapaxes(-1, -2)).swapaxes(-1, -2)
         block = _clock_apply(np.exp(-1j * theta * ext.sigma * clk.frequencies), block)
-        return block.reshape(-1)
+        return block.reshape(block.shape[:-2] + (ext.dim,))
     if method == "dense":
         lam, W = ext.eigensystem()
-        return _eigenbasis_apply(W, np.exp(-1j * lam * theta), psi)
+        return _eigenbasis_apply(W, np.exp(-1j * lam * theta[..., None]), psi)
     raise InvalidInputError(f"unknown evolution method {method!r}")
 
 
-def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t: float):
-    """(exp(-i H_s t) psi_s, exp(-i sigma S t) psi_T): the factored evolution."""
+def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t):
+    """(exp(-i H_s t) psi_s, exp(-i sigma S t) psi_T): the factored evolution.
+
+    psi_s is (..., n), psi_T is (..., M) and t a scalar or an array; each
+    factor's leading axes broadcast against t's, as in `evolve_extended`.
+    """
     psi_s = np.asarray(psi_s, dtype=complex)
     psi_T = np.asarray(psi_T, dtype=complex)
-    if psi_s.shape != (system.n_levels,) or psi_T.shape != (clock.M,):
+    if psi_s.shape[-1:] != (system.n_levels,) or psi_T.shape[-1:] != (clock.M,):
         raise InvalidInputError("factor dimensions do not match the spaces")
+    t = np.asarray(t)
+    if not np.isfinite(t).all():
+        raise InvalidInputError("t must be finite")
+    try:
+        np.broadcast_shapes(psi_s.shape[:-1], t.shape)
+        np.broadcast_shapes(psi_T.shape[:-1], t.shape)
+    except ValueError:
+        raise InvalidInputError("factor stacks do not broadcast against t") from None
+    t = t[..., None]
     out_s = _eigenbasis_apply(system.vectors, np.exp(-1j * t * system.energies), psi_s)
     out_T = _clock_apply(np.exp(-1j * t * clock.sigma * clock.frequencies), psi_T)
     return out_s, out_T
@@ -329,7 +371,11 @@ def uncertainty_product(ext: ExtendedSpace, psi) -> UncertaintyProduct:
     The continuum bound product >= 1/2 holds for states localized away from
     the grid boundary; boundary-dominated states may dip below it.
     """
-    psi = _check_state(ext, psi)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (ext.dim,):
+        raise InvalidInputError(
+            f"state length {psi.size} does not match the extended dimension {ext.dim}"
+        )
     h_psi = _hex_apply(ext, psi)
     mean_h = float(np.vdot(psi, h_psi).real)
     centered = h_psi - mean_h * psi  # avoids the <H^2> - <H>^2 cancellation

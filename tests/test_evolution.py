@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from chronolab import (
     ClockSpace,
     ExtendedSpace,
+    InvalidInputError,
     build_clock,
     build_extended,
     build_system_space,
@@ -191,6 +192,81 @@ def test_whole_bin_shift_and_fft_propagator_on_random_spectra(M, n, sigma, delta
     kron = evolve_extended(ext, psi, j * deltaT, method="kron")
     dense = evolve_extended(ext, psi, j * deltaT, method="dense")
     assert np.max(np.abs(kron - dense)) <= 1e-10  # kron_dense_agreement's threshold
+
+
+def random_states(rng, shape, n):
+    raw = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+# (leading psi axes, theta shape): stacked states against per-state thetas,
+# one state against many thetas, many states against one theta
+STACKS = (((3, 1), (3, 4)), ((), (4,)), ((3,), ()))
+
+
+@settings(deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), M=st.integers(4, 32).map(lambda half: 2 * half),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_evolutions_equal_a_loop_of_scalar_calls(n, M, sigma, seed):
+    rng = np.random.default_rng(seed)
+    system = build_system_space(random_hermitian(rng, n))
+    clock = build_clock(M, 0.25, sigma=sigma)
+    ext = build_extended(system, clock)
+    for lead, theta_shape in STACKS:
+        psi = random_states(rng, lead, ext.dim)
+        psi_s, psi_T = random_states(rng, lead, n), random_states(rng, lead, M)
+        theta = rng.uniform(-10, 10, size=theta_shape)
+        shape = np.broadcast_shapes(lead, theta_shape)
+        thetas = np.broadcast_to(theta, shape)
+
+        for method in ("kron", "dense"):
+            batched = evolve_extended(ext, psi, theta, method)
+            assert batched.shape == shape + (ext.dim,)
+            states = np.broadcast_to(psi, shape + (ext.dim,))
+            for index in np.ndindex(shape):
+                single = evolve_extended(ext, states[index], float(thetas[index]), method)
+                assert np.max(np.abs(batched[index] - single)) <= 1e-13
+
+        out_s, out_T = evolve_factored(system, clock, psi_s, psi_T, theta)
+        assert out_s.shape == shape + (n,) and out_T.shape == shape + (M,)
+        states_s = np.broadcast_to(psi_s, shape + (n,))
+        states_T = np.broadcast_to(psi_T, shape + (M,))
+        for index in np.ndindex(shape):
+            single_s, single_T = evolve_factored(system, clock, states_s[index],
+                                                 states_T[index], float(thetas[index]))
+            assert np.max(np.abs(out_s[index] - single_s)) <= 1e-13
+            assert np.max(np.abs(out_T[index] - single_T)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [np.nan, [0.1, np.inf], [[0.0, 1.0], [-np.inf, 2.0]]],
+                         ids=["scalar-nan", "inf-in-a-row", "-inf-in-a-grid"])
+def test_a_non_finite_theta_anywhere_is_rejected(setup, theta):
+    system, clock, ext = setup
+    rng = np.random.default_rng(43)
+    psi = random_states(rng, (2, 1), ext.dim)
+    psi_s, psi_T = random_states(rng, (2, 1), system.n_levels), random_states(rng, (2, 1), clock.M)
+    for method in ("kron", "dense"):
+        with pytest.raises(InvalidInputError, match="finite"):
+            evolve_extended(ext, psi, theta, method)
+    with pytest.raises(InvalidInputError, match="finite"):
+        evolve_factored(system, clock, psi_s, psi_T, theta)
+
+
+def test_a_wrong_trailing_dimension_or_stack_shape_is_rejected(setup):
+    system, clock, ext = setup
+    n, M = system.n_levels, clock.M
+    for psi, theta in ((np.ones((2, ext.dim + 1)), 0.5), (np.ones((ext.dim, 2)), 0.5),
+                       (np.ones(()), 0.5), (np.ones((3, n, M)), 0.5),
+                       (np.ones((3, ext.dim)), [0.5, 1.0])):
+        for method in ("kron", "dense"):
+            with pytest.raises(InvalidInputError):
+                evolve_extended(ext, psi, theta, method)
+    good_s, good_T = np.ones((2, n)), np.ones((2, M))
+    for psi_s, psi_T in ((np.ones((2, n + 1)), good_T), (good_s, np.ones((2, M - 1))),
+                         (np.ones((n, 2)), good_T), (good_s, np.ones(())),
+                         (np.ones((3, n)), good_T), (good_s, np.ones((3, M)))):
+        with pytest.raises(InvalidInputError):
+            evolve_factored(system, clock, psi_s, psi_T, [0.5, 1.0])
 
 
 def test_dense_views_are_read_by_the_oracles_only(monkeypatch):

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     InvalidInputError,
     NumericalFailureError,
+    SystemSpace,
     build_clock,
     build_extended,
     build_system_space,
@@ -166,6 +169,34 @@ def test_lazy_hamiltonian_is_the_kron_formula_and_read_only():
     assert np.array_equal(ext.hamiltonian, H_ref)
     assert ext.hamiltonian is ext.hamiltonian  # built once
     assert not ext.hamiltonian.flags.writeable
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(n=st.integers(1, 5), M=st.integers(4, 32).map(lambda half: 2 * half),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_assembly_equals_the_kron_formula(n, M, sigma, seed):
+    clock = build_clock(M, 0.3, sigma=sigma)
+    space = build_system_space(random_hermitian(np.random.default_rng(seed), n))
+    H_ref = np.kron(space.matrix, np.eye(M)) + sigma * np.kron(np.eye(n), clock.S_op)
+    assert np.array_equal(build_extended(space, clock).hamiltonian, H_ref)
+
+
+def test_hermiticity_guard_reads_a_skewed_s_op_from_the_cache():
+    clock = build_clock(16, 0.3)
+    skewed = np.array(clock.S_op)
+    skewed[0, 1] += 1e-9
+    vars(clock)["S_op"] = skewed  # what a corrupted build would have cached
+    ext = build_extended(build_system_space(np.diag([0.0, 0.5])), clock)
+    with pytest.raises(NumericalFailureError, match="Hermiticity"):
+        ext.hamiltonian
+
+
+def test_hermiticity_guard_reads_a_non_hermitian_system_matrix():
+    matrix = np.array([[0.0, 1e-9], [0.0, 0.5]], dtype=complex)
+    forced = SystemSpace(matrix=matrix, energies=np.array([0.0, 0.5]), vectors=np.eye(2))
+    ext = build_extended(forced, build_clock(16, 0.3))
+    with pytest.raises(NumericalFailureError, match="Hermiticity"):
+        ext.hamiltonian
 
 
 def test_kronecker_spectrum_reuses_the_eigensystem():

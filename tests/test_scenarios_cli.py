@@ -1,16 +1,23 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, parse_config,
-                       quantum)
+                       quantum, serialize_config)
 from chronolab.cli import main
+from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
 from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
 
 QUBIT = """
@@ -372,3 +379,105 @@ def test_extended_spaces_die_with_the_run(monkeypatch):
     assert run_scenario(parse_config(TOY_GRID)).passed
     gc.collect()
     assert built and all(ref() is None for ref in built)
+
+
+def test_quantum_equivalence_keeps_the_draw_order(monkeypatch):
+    calls = []
+    evolve_extended, evolve_factored = quantum.evolve_extended, quantum.evolve_factored
+
+    def capture_extended(ext, psi, theta, method="kron"):
+        calls.append((method, psi, theta))
+        return evolve_extended(ext, psi, theta, method)
+
+    def capture_factored(system, clock, psi_s, psi_T, t):
+        calls.append(("factored", psi_s, psi_T, t))
+        return evolve_factored(system, clock, psi_s, psi_T, t)
+
+    monkeypatch.setattr(quantum, "evolve_extended", capture_extended)
+    monkeypatch.setattr(quantum, "evolve_factored", capture_factored)
+    cfg = parse_config(TOY_GRID)
+    assert run_scenario(cfg, suites=("quantum-equivalence",)).passed
+
+    # reference: the same draws as a plain loop, one state and its 5 thetas at a time
+    rng = np.random.default_rng((cfg.seed, SUITE_NAMES.index("quantum-equivalence")))
+    states_s, states_T, states, thetas = [], [], [], []
+    for _ in range(20):
+        psi_s = quantum.unit(rng.normal(size=4) + 1j * rng.normal(size=4))
+        psi_T = quantum.unit(rng.normal(size=32) + 1j * rng.normal(size=32))
+        states_s.append([psi_s])
+        states_T.append([psi_T])
+        states.append([np.kron(psi_s, psi_T)])
+        thetas.append(rng.uniform(-10, 10, size=5))
+    dense, factored, kron = calls[:3]
+    for method, psi, theta in (dense, kron):
+        assert psi.tobytes() == np.array(states).tobytes() and psi.shape == (20, 1, 128)
+        assert theta.tobytes() == np.array(thetas).tobytes() and theta.shape == (20, 5)
+    assert (dense[0], factored[0], kron[0]) == ("dense", "factored", "kron")
+    assert factored[1].tobytes() == np.array(states_s).tobytes()
+    assert factored[2].tobytes() == np.array(states_T).tobytes()
+    assert factored[3] is dense[2]
+
+
+# Random config text through the CLI: fresh lines, and mutations of the
+# bundled configs.  Runs are bounded (M <= 64, <= 10**4 classical steps,
+# <= 8 levels) so each example stays cheap.
+CONFIG_KEYS = [line.split(" = ")[0] for line in serialize_config(ScenarioConfig()).splitlines()]
+BUNDLED_TEXTS = [path.read_text(encoding="utf-8") for path in
+                 sorted((Path(quantum.__file__).parent / "configs").glob("*.cfg"))]
+config_values = st.one_of(
+    st.integers(-2, 70).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.lists(st.floats(-10, 10), max_size=5).map(lambda xs: ", ".join(map(repr, xs))),
+    st.sampled_from(SYSTEM_KINDS + SUITE_NAMES + ("true", "false")),
+    st.text(max_size=10) | st.sampled_from(("inf", "nan", "")),
+)
+config_edits = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(CONFIG_KEYS), config_values),
+    st.tuples(st.just("drop"), st.integers(0, 20)),
+    st.tuples(st.just("add"), st.text(max_size=24)),
+)
+
+
+@st.composite
+def config_texts(draw):
+    lines = draw(st.sampled_from(BUNDLED_TEXTS + [""])).splitlines()
+    for edit in draw(st.lists(config_edits, max_size=4)):
+        if edit[0] == "set":
+            _, key, value = edit
+            lines = [line for line in lines if not line.startswith(key + " ")]
+            lines.append(f"{key} = {value}")
+        elif edit[0] == "drop" and lines:
+            del lines[edit[1] % len(lines)]
+        elif edit[0] == "add":
+            lines.append(edit[1])
+    return "\n".join(lines)
+
+
+def _bounded(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return True
+    return (cfg.clock.M <= 64 and cfg.classical.t_end / cfg.classical.dt <= 1e4
+            and cfg.system.n_levels <= 8 and len(cfg.system.energies) <= 8)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(command=st.sampled_from(SUITE_NAMES), text=config_texts())
+# well-formed but degenerate physics, one per error exit: colliding levels
+# and an empty physical subspace (exit 2), a stiff oscillator (exit 3)
+@example(command="povm-audit", text=QUBIT.replace("0.0, 3.141592653589793", "0.0, 0.0"))
+@example(command="time-distribution",
+         text=QUBIT.replace("0.0, 3.141592653589793", "0.3, 0.7") + "tolerances.eps_match = 0.01\n")
+@example(command="classical-equivalence", text="scenario = stiff\nsystem.kind = oscillator\n"
+         "system.omega = 100.0\nclassical.dt = 0.1\nclassical.t_end = 1.0\n")
+def test_fuzzed_config_text_only_yields_documented_exit_codes(command, text):
+    assume(_bounded(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.cfg"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
