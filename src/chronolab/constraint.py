@@ -2,9 +2,11 @@
 
 Two independent routes extract it.  The spectral route matches system
 energies against the clock frequency grid (E_i + sigma w_k = 0) and emits
-product vectors; the kernel route eigendecomposes the assembled H_ex and
-keeps the near-null eigenvectors.  On commensurate spectra the two must
-agree, which is the main cross-method oracle of the test suite.
+product vectors; the kernel route eigendecomposes the assembled H_ex (one
+eigh per exactly decoupled block of its zero pattern, see
+ExtendedSpace.eigensystem) and keeps the near-null eigenvectors.  On
+commensurate spectra the two must agree, which is the main cross-method
+oracle of the test suite.
 
 An exact kernel exists only when the energies sit on the grid, so
 commensurability is a first-class scenario parameter here: spectra are

@@ -246,13 +246,57 @@ class ExtendedSpace:
         return H_ex
 
     def eigensystem(self):
-        """Cached dense eigendecomposition of H_ex (the oracle path)."""
+        """Cached dense eigendecomposition of H_ex (the oracle path).
+
+        Reads the assembled matrix alone, one eigh per connected component
+        of its symmetric zero pattern: a permutation that makes H_ex
+        block-diagonal is an exact similarity, so each block's eigenpairs,
+        scattered back to the block's rows, are eigenpairs of H_ex.  They
+        are written straight into their ascending positions in lam and W,
+        ties in component order.  A matrix that does not split goes to eigh
+        as it is.
+        """
         if self._eig is None:
-            lam, W = np.linalg.eigh(self.hamiltonian)
+            H = self.hamiltonian
+            blocks = _connected_components(H)
+            if len(blocks) == 1:
+                lam, W = np.linalg.eigh(H)
+            else:
+                pairs = [np.linalg.eigh(H[np.ix_(rows, rows)]) for rows in blocks]
+                rank = np.empty(self.dim, dtype=np.intp)
+                rank[np.argsort(np.concatenate([values for values, _ in pairs]),
+                                kind="stable")] = np.arange(self.dim)
+                lam = np.empty(self.dim)
+                W = np.zeros((self.dim, self.dim), dtype=complex)
+                start = 0
+                for rows, (values, vectors) in zip(blocks, pairs):
+                    cols = rank[start:start + rows.size]
+                    lam[cols] = values
+                    W[np.ix_(rows, cols)] = vectors
+                    start += rows.size
             lam.setflags(write=False)
             W.setflags(write=False)
             self._eig = (lam, W)
         return self._eig
+
+
+def _connected_components(H: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the pattern
+    (H != 0) | (H != 0)^T, each ascending, in order of their lowest index."""
+    linked = H != 0
+    linked |= linked.T
+    unseen = np.ones(H.shape[0], dtype=bool)
+    blocks = []
+    for seed in range(H.shape[0]):
+        if unseen[seed]:
+            unseen[seed] = False
+            frontier = members = np.array([seed])
+            while frontier.size:  # breadth-first: every row is read once
+                frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+                unseen[frontier] = False
+                members = np.concatenate((members, frontier))
+            blocks.append(np.sort(members))
+    return blocks
 
 
 def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:

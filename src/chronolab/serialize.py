@@ -37,7 +37,7 @@ def array_to_container(arr, sigma=None, grid=None, ordering=ORDERING) -> dict:
     flat = arr.ravel(order="C")
     return {
         "shape": list(arr.shape),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": np.stack((flat.real, flat.imag), axis=1).tolist(),
         "ordering": ordering,
         "sigma": sigma,
         "grid": grid,

@@ -234,3 +234,79 @@ def test_spectrum_shifts_with_sigma():
         expected = np.sort((space.energies[:, None]
                             + sigma * clock.frequencies[None, :]).ravel())
         assert np.max(np.abs(np.linalg.eigvalsh(ext.hamiltonian) - expected)) < 1e-10
+
+
+# --- the dense oracle, one decoupled block at a time -------------------------
+
+def coupled_system(kind, n, rng):
+    """A system matrix of the given coupling: `diagonal`, `two-blocks`
+    (two coupled Hermitian blocks) or `random` (coupled throughout)."""
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n))
+    if kind == "two-blocks":
+        cut = n // 2
+        matrix = np.zeros((n, n), dtype=complex)
+        matrix[:cut, :cut] = random_hermitian(rng, cut)
+        matrix[cut:, cut:] = random_hermitian(rng, n - cut)
+        return matrix
+    return random_hermitian(rng, n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(kind=st.sampled_from(("diagonal", "two-blocks", "random")),
+       n=st.integers(2, 6), M=st.integers(4, 16).map(lambda half: 2 * half),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, seed):
+    system = build_system_space(coupled_system(kind, n, np.random.default_rng(seed)))
+    ext = build_extended(system, build_clock(M, 0.3, sigma=sigma))
+    H = ext.hamiltonian
+    scale = max(1.0, float(np.linalg.norm(H, np.inf)))
+    lam, W = ext.eigensystem()
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(H))) <= 1e-12 * scale
+    assert np.max(np.abs(W.conj().T @ W - np.eye(ext.dim))) <= 1e-12
+    assert np.max(np.abs(H @ W - W * lam)) <= 1e-11 * scale
+    # every eigenvector lives on the levels of one decoupled system block
+    levels = {"diagonal": np.arange(n), "two-blocks": np.arange(n) >= n // 2,
+              "random": np.zeros(n)}[kind]
+    support = np.abs(W.reshape(n, M, ext.dim)).max(axis=1) > 0
+    for column in support.T:
+        assert np.unique(levels[column]).size == 1
+    if kind == "random":  # one component: eigh of the assembled matrix itself
+        lam_ref, W_ref = np.linalg.eigh(H)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(W, W_ref)
+
+
+def test_eigensystem_runs_one_eigh_per_decoupled_block(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    clock = build_clock(8, 0.5)
+    rng = np.random.default_rng(41)
+    for kind, expected in (("diagonal", [(8, 8)] * 4), ("two-blocks", [(16, 16)] * 2),
+                           ("random", [(32, 32)])):
+        system = build_system_space(coupled_system(kind, 4, rng))
+        shapes.clear()  # drop the system's own eigh
+        build_extended(system, clock).eigensystem()
+        assert shapes == expected
+
+
+def test_components_follow_the_symmetric_zero_pattern():
+    rng = np.random.default_rng(43)
+    blocks = [random_hermitian(rng, size) for size in (3, 1, 4)]
+    H = np.zeros((8, 8), dtype=complex)
+    H[:3, :3], H[3, 3], H[4:, 4:] = blocks[0], blocks[1][0, 0], blocks[2]
+    perm = rng.permutation(8)
+    scrambled = H[np.ix_(perm, perm)]
+    found = quantum._connected_components(scrambled)
+    assert all(np.all(np.diff(rows) > 0) for rows in found)  # rows ascending
+    assert np.all(np.diff([rows[0] for rows in found]) > 0)  # by lowest row
+    assert sorted(sorted(perm[rows]) for rows in found) == [[0, 1, 2], [3], [4, 5, 6, 7]]
+    one_sided = np.eye(3, dtype=complex)
+    one_sided[2, 0] = 1.0  # only the lower triangle links rows 0 and 2
+    assert [list(rows) for rows in quantum._connected_components(one_sided)] == [[0, 2], [1]]

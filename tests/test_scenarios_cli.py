@@ -366,6 +366,48 @@ def test_one_decomposition_per_distinct_space_per_run(decompositions):
     assert decompositions[0] is not decompositions[1]
 
 
+def assemble_hex(ext, mutate):
+    """H_ex written block by block, independently of the package, with
+    `mutate(blocks, system matrix, clock)` applied to the (n, M, n, M) blocks."""
+    matrix, clock = ext.system.matrix, ext.clock
+    n, M = matrix.shape[0], clock.M
+    blocks = np.zeros((n, M, n, M), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            blocks[i, :, j, :] = matrix[i, j] * np.eye(M)
+        blocks[i, :, i, :] += clock.sigma * clock.S_op
+    if mutate is not None:
+        mutate(blocks, matrix, clock)
+    return blocks.reshape(n * M, n * M)
+
+
+def flip_one_clock_sign(blocks, matrix, clock):
+    blocks[0, :, 0, :] -= 2 * clock.sigma * clock.S_op  # level 0 sees -sigma S
+
+
+def one_energy_on_one_bin(blocks, matrix, clock):
+    blocks[1, 1:, 1, 1:] -= matrix[1, 1] * np.eye(clock.M - 1)  # H_s[1, 1] on bin 0 only
+
+
+@pytest.mark.parametrize("mutate", [None, flip_one_clock_sign, one_energy_on_one_bin])
+def test_the_dense_oracle_catches_a_mis_assembled_hex(monkeypatch, mutate):
+    # the mutants keep the level blocks decoupled, so eigensystem() still
+    # splits H_ex; only its reading of the assembled entries can catch them
+    monkeypatch.setattr(ExtendedSpace, "hamiltonian",
+                        property(lambda ext: assemble_hex(ext, mutate)))
+    cfg = parse_config(TOY_GRID)
+    system = quantum.build_system_space(np.diag(cfg.system.energies))
+    ext = quantum.build_extended(system, quantum.build_clock(cfg.clock.M, cfg.clock.deltaT))
+    deviation = quantum.verify_kronecker_spectrum(ext)
+    report = run_scenario(cfg, suites=("constraint-solve",))
+    failed = [r.check_id for r in report.records if not r.passed]
+    if mutate is None:  # the independent assembly itself is sound
+        assert deviation < 1e-9 and not failed
+    else:
+        assert deviation > 1e-9
+        assert failed and all(check.startswith("constraint.") for check in failed)
+
+
 def test_extended_spaces_die_with_the_run(monkeypatch):
     built = []
     original = quantum.build_extended

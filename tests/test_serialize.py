@@ -25,6 +25,24 @@ def test_container_roundtrip_preserves_doubles():
     assert np.array_equal(back, arr)  # bit-exact through repr floats
 
 
+def test_container_entries_match_the_per_element_loop_byte_for_byte():
+    def loop_container(arr):  # the reference: one float pair per element
+        arr = np.asarray(arr, dtype=complex)
+        doc = array_to_container(arr)
+        doc["entries"] = [[float(z.real), float(z.imag)] for z in arr.ravel(order="C")]
+        return doc
+
+    rng = np.random.default_rng(137)
+    arr = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    tiny = np.nextafter(0.0, 1.0)
+    arr[0] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny),
+              complex(2.5e-310, 1e-320)]  # signed zeros and subnormals
+    arr[1, :2] = [complex(1.7976931348623157e308, -1e-300), complex(1 / 3, -2 / 3)]
+    for case in (arr, arr.T, arr[:, 0].real, np.zeros((0, 3)), np.complex128(1j)):
+        assert (json.dumps(array_to_container(case))
+                == json.dumps(loop_container(case)))
+
+
 def test_container_roundtrip_through_json_text():
     rng = np.random.default_rng(133)
     arr = rng.normal(size=7) + 1j * rng.normal(size=7)
