@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .classical import MAX_CLASSICAL_STEPS
 from .errors import ConfigError
 
 __all__ = [
@@ -209,6 +210,11 @@ def _validate(cfg: ScenarioConfig, problems: list):
         problems.append("classical.dt must be positive")
     if not cla.t_end > 0:
         problems.append("classical.t_end must be positive")
+    elif cla.dt > 0:
+        steps = float(cla.t_end) / float(cla.dt)  # inf when the quotient overflows
+        if not steps <= MAX_CLASSICAL_STEPS:
+            problems.append(f"classical.t_end / classical.dt must be at most "
+                            f"{MAX_CLASSICAL_STEPS} steps; got {steps:.6g}")
     if len(cla.q0) != len(cla.p0):
         problems.append("classical.q0 and classical.p0 must have equal length")
     if not cla.q0:

@@ -20,6 +20,7 @@ __all__ = [
     "save_operator",
     "load_operator",
     "subspace_to_container",
+    "write_csv",
     "write_distribution_csv",
     "write_defect_sweep_csv",
 ]
@@ -95,21 +96,31 @@ def subspace_to_container(sub) -> dict:
     }
 
 
+def write_csv(path, header, columns):
+    """Write the `header` line, then one row per index of the equal-length
+    `columns`, one per header name.
+
+    Every value is written as `%.17g`, which reads back as the same double
+    and writes integers below 2**53 without a point.  All rows come from one
+    `%` on the repeated row template, in one write.
+    """
+    values = np.column_stack(columns).ravel().tolist()
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = (row * (len(values) // len(header))) % tuple(values)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n" + rows)
+
+
 def write_distribution_csv(path, times, probabilities):
     """Rows `m,T_m,p_m`; an empty distribution produces a header-only file."""
     times = np.asarray(times, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
     if times.shape != probabilities.shape:
         raise InvalidInputError("times and probabilities must have equal length")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("m,T_m,p_m\n")
-        for m, (t, p) in enumerate(zip(times, probabilities)):
-            fh.write(f"{m},{t:.17g},{p:.17g}\n")
+    write_csv(path, ["m", "T_m", "p_m"], [np.arange(times.size), times, probabilities])
 
 
 def write_defect_sweep_csv(path, rows):
     """Rows `M,orthogonality_defect,idempotency_defect` for grid-size sweeps."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("M,orthogonality_defect,idempotency_defect\n")
-        for M, orth, idem in rows:
-            fh.write(f"{M},{orth:.17g},{idem:.17g}\n")
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    write_csv(path, ["M", "orthogonality_defect", "idempotency_defect"], table.T)

@@ -152,8 +152,9 @@ PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
 coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def bracket_cases(draw):
+def draw_point_and_functions(draw):
+    """An extended point y and a drawer of functions on its phase space:
+    coordinates, or H_ex of one of the systems of y's dimension."""
     n = draw(st.sampled_from((1, 2, 3)))
     y = ExtendedPhaseState(
         base=PhaseState(q=draw(st.lists(coords, min_size=n, max_size=n)),
@@ -165,13 +166,30 @@ def bracket_cases(draw):
     systems = SYSTEMS if n == 1 else (anharmonic_system(n),)
     system = draw(st.sampled_from(systems))
 
-    def function(name):
+    def function():
+        name = draw(names)
         if name == "H_ex":
             ext = system.extended()
             return lambda state: eval_extended_hamiltonian(ext, state)
         return coordinate(name, draw(st.integers(0, n - 1)))
 
-    return function(draw(names)), function(draw(names)), y
+    return y, function
+
+
+@st.composite
+def bracket_cases(draw):
+    y, function = draw_point_and_functions(draw)
+    return function(), function(), y
+
+
+@st.composite
+def bracket_pair_lists(draw):
+    # pairs drawn from a pool of 1-4 function objects, so a list can repeat
+    # a function, a pair, or put one function on both sides
+    y, function = draw_point_and_functions(draw)
+    pool = [function() for _ in range(draw(st.integers(1, 4)))]
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return draw(st.lists(pair, min_size=1, max_size=6)), y
 
 
 @PROPERTY_SETTINGS
@@ -180,6 +198,49 @@ def test_bracket_matches_per_probe_reference_bit_for_bit(case):
     f, g, y = case
     value = poisson_bracket(f, g, y)
     assert np.array(value).tobytes() == np.array(reference_bracket(f, g, y)).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(bracket_pair_lists())
+def test_sequence_form_matches_scalar_calls_bit_for_bit(case):
+    pairs, y = case
+    fs, gs = (list(side) for side in zip(*pairs))
+    values = poisson_bracket(fs, gs, y)
+    assert values.dtype == float and values.shape == (len(pairs),)
+    scalars = np.array([poisson_bracket(f, g, y) for f, g in pairs])
+    assert values.tobytes() == scalars.tobytes()
+
+
+def test_each_function_is_read_once_per_call():
+    seen = []
+
+    def record(state):
+        seen.append(state)
+        return state.T * state.S + float(state.base.q[1])
+
+    y = ExtendedPhaseState(base=PhaseState(q=[0.5, -1.0], p=[2.0, 0.0]), T=1.0, S=-2.0)
+    dim = 2 * y.n + 2
+    f_q = coordinate("q", 1)
+    for f, g in ((record, f_q), (record, record), ([record], [record]),
+                 ([record, f_q, record, record], [f_q, record, record, f_q])):
+        seen.clear()
+        poisson_bracket(f, g, y)
+        assert len(seen) == 2 * dim
+
+
+def test_sequence_form_rejects_mismatched_or_empty_sequences():
+    y = ExtendedPhaseState(base=PhaseState(q=[0.5], p=[2.0]), T=1.0, S=-2.0)
+    f_T, f_S = coordinate("T"), coordinate("S")
+    for f, g in (([f_T, f_T], [f_S]), ([], []), ((), ()), (f_T, [f_S]), ([f_T], f_S)):
+        with pytest.raises(InvalidInputError):
+            poisson_bracket(f, g, y)
+
+
+def test_scalar_form_returns_a_python_float():
+    y = ExtendedPhaseState(base=PhaseState(q=[0.5], p=[2.0]), T=1.0, S=-2.0)
+    value = poisson_bracket(coordinate("T"), coordinate("S"), y)
+    assert type(value) is float
+    assert abs(value - 1.0) < 1e-8
 
 
 def test_probe_states_are_read_only():

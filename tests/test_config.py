@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolab import ConfigError, parse_config, serialize_config
+from chronolab.classical import MAX_CLASSICAL_STEPS
 from chronolab.config import (
     SUITE_NAMES,
     SYSTEM_KINDS,
@@ -168,7 +169,12 @@ def valid_configs(draw):
                                    time_residual=draw(positive),
                                    constraint_drift=draw(positive),
                                    hex_drift=draw(positive)),
-        classical=ClassicalConfig(dt=draw(positive), t_end=draw(positive), t0=draw(finite),
+        classical=ClassicalConfig(dt=(dt := draw(positive)),
+                                  # at most half the step budget, whatever the rounding
+                                  t_end=draw(st.floats(min_value=0.0, exclude_min=True,
+                                                       max_value=dt * MAX_CLASSICAL_STEPS / 2,
+                                                       allow_infinity=False)),
+                                  t0=draw(finite),
                                   q0=tuple(draw(st.lists(finite, min_size=n, max_size=n))),
                                   p0=tuple(draw(st.lists(finite, min_size=n, max_size=n)))),
         constraint=ConstraintConfig(expected_dim=draw(st.integers(-1, 10 ** 6)),

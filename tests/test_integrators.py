@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     DivergenceError,
@@ -10,6 +12,8 @@ from chronolab import (
     NumericalFailureError,
     PhaseState,
     Trajectory,
+    bundled_scenarios,
+    classical,
     extend_state,
     free_particle,
     harmonic_oscillator,
@@ -90,13 +94,22 @@ def test_generic_path_matches_kernel_path():
     assert np.max(np.abs(a.ps - b.ps)) < 1e-13
 
 
-def reference_midpoint(kind, omega, z0, nsteps, dt, extended, tol=1e-13, max_iter=50):
-    """Float implicit-midpoint stepping with the force written out per kind."""
+def reference_midpoint(kind, omega, z0, nsteps, dt, extended, tol=1e-13, max_iter=50,
+                       extrapolate=True):
+    """Float implicit-midpoint stepping with the force written out per kind.
+
+    With `extrapolate`, each step from the third on starts its fixed-point
+    iteration at the quadratic extrapolation 3(z_k - z_{k-1}) + z_{k-2};
+    otherwise every step starts at the current point.
+    """
     q, p = float(z0[0]), float(z0[1])
     T, S = (float(z0[2]), float(z0[3])) if extended else (0.0, 0.0)
     rows = [(q, p, T, S)]
-    for _ in range(nsteps):
+    for step in range(nsteps):
         qa, pa = q, p
+        if extrapolate and step >= 2:
+            qa = 3 * (q - rows[-2][0]) + rows[-3][0]
+            pa = 3 * (p - rows[-2][1]) + rows[-3][1]
         for _ in range(max_iter):
             qm = 0.5 * (q + qa)
             pm = 0.5 * (p + pa)
@@ -135,6 +148,46 @@ def test_builtin_systems_match_reference_stepping(kind, system):
     assert np.array_equal(np.column_stack([ext.qs, ext.ps, ext.Ts, ext.Ss]), ref)
 
 
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(kind=st.sampled_from(("harmonic", "quartic")),
+       q0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0), dt=st.sampled_from((1e-3, 5e-3)))
+def test_extrapolated_start_agrees_with_plain_start(kind, q0, p0, dt):
+    # The starting value only changes where the fixed-point iteration stops
+    # inside its 1e-13 tolerance, not the trajectory it converges to.
+    system = harmonic_oscillator(1.7) if kind == "harmonic" else quartic_oscillator()
+    traj = integrate_original(system, PhaseState(q=[q0], p=[p0]), 1000 * dt, dt)
+    plain = reference_midpoint(kind, 1.7, [q0, p0], 1000, dt, False, extrapolate=False)
+    assert traj.params.size == 1001
+    assert np.max(np.abs(np.column_stack([traj.qs, traj.ps]) - plain)) <= 1e-11
+
+
+def counting_velocity(system):
+    """A copy of `system` whose velocity field counts its calls after construction."""
+    calls = []
+
+    def velocity(q, p):
+        calls.append(None)
+        return system.velocity(q, p)
+
+    counted = HamiltonianSystem(1, system.energy, system.gradient, system.label, velocity)
+    calls.clear()  # drop the construction-time probe calls
+    return counted, calls
+
+
+@pytest.mark.parametrize("scenario, make", [
+    ("classical_harmonic", harmonic_oscillator),
+    ("classical_quartic", quartic_oscillator),
+])
+def test_velocity_calls_per_step_on_bundled_configs(scenario, make):
+    # plain starts took 4.82 (harmonic) and 4.46 (quartic) calls per step
+    cfg = next(c for c in bundled_scenarios() if c.scenario == scenario).classical
+    system, calls = counting_velocity(make())
+    traj = integrate_original(system, PhaseState(q=cfg.q0, p=cfg.p0), cfg.t_end, cfg.dt)
+    steps = traj.params.size - 1
+    assert steps == 6283
+    assert len(calls) / steps <= 3.2
+
+
 def test_divergence_reports_step_index():
     def energy(q, p):
         return 1e4 * (float(q[0]) ** 2 + float(p[0]) ** 2) ** 2
@@ -165,6 +218,26 @@ def test_step_count_validation():
         integrate_original(system, x0, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
         integrate_original(system, x0, 1e-4, 1e-3)  # less than half a step
+
+
+@pytest.mark.parametrize("t_end, dt, admitted", [
+    (1e308, 5e-324, False),  # t_end/dt overflows to inf
+    (2 * math.pi, 1e-12, False),
+    (classical.MAX_CLASSICAL_STEPS + 1.0, 1.0, False),
+    (float(classical.MAX_CLASSICAL_STEPS), 1.0, True),
+])
+def test_step_budget_is_checked_before_stepping(monkeypatch, t_end, dt, admitted):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the midpoint loop was entered")
+
+    monkeypatch.setattr(classical, "_midpoint", no_stepping)
+    x0 = PhaseState(q=[1.0], p=[0.0])
+    if admitted:
+        with pytest.raises(AssertionError, match="midpoint loop was entered"):
+            integrate_original(harmonic_oscillator(), x0, t_end, dt)
+    else:
+        with pytest.raises(InvalidInputError, match="exceeds the budget"):
+            integrate_original(harmonic_oscillator(), x0, t_end, dt)
 
 
 def test_trajectory_grid_validation():

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, parse_config,
-                       quantum, serialize_config)
+from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, classical,
+                       parse_config, quantum, serialize_config)
 from chronolab.cli import main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
 from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
@@ -183,6 +184,33 @@ classical.t_end = 1.0
 """)
     code = main(["classical-equivalence", "--config", str(cfg_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("dt, t_end, steps", [
+    ("5e-324", "1e308", "inf"),
+    ("1e-12", "6.283185307179586", "6.28319e+12"),
+], ids=["overflowing-step-count", "oversized-step-count"])
+def test_cli_rejects_a_classical_run_past_the_step_budget(tmp_path, monkeypatch, capsys,
+                                                          dt, t_end, steps):
+    # a missed check would queue the steps, so entering the loop fails at once
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the midpoint loop was entered")
+
+    monkeypatch.setattr(classical, "_midpoint", no_stepping)
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text("scenario = long\nsuites = classical-equivalence\n"
+                        f"system.kind = oscillator\nclassical.dt = {dt}\n"
+                        f"classical.t_end = {t_end}\n")
+    start = time.perf_counter()
+    code = main(["classical-equivalence", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"at most {classical.MAX_CLASSICAL_STEPS} steps; got {steps}" in err
+    assert "Traceback" not in err
+    assert elapsed < 5.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.cfg"]
 
 
 @pytest.mark.parametrize("command, text, message", [

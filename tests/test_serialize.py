@@ -112,3 +112,48 @@ def test_defect_sweep_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "M,orthogonality_defect,idempotency_defect"
     assert len(lines) == 3
+
+
+def per_row_distribution_csv(path, times, probabilities):
+    """The per-row writer the shared `%.17g` rule replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("m,T_m,p_m\n")
+        for m, (t, p) in enumerate(zip(times, probabilities)):
+            fh.write(f"{m},{t:.17g},{p:.17g}\n")
+
+
+def per_row_defect_sweep_csv(path, rows):
+    """The per-row writer the shared `%.17g` rule replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("M,orthogonality_defect,idempotency_defect\n")
+        for M, orth, idem in rows:
+            fh.write(f"{M},{orth:.17g},{idem:.17g}\n")
+
+
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1 / 3,
+                        -1.7976931348623157e308, np.inf, -np.inf, np.nan, 1e17, 2.0 ** 53])
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, EDGE_VALUES.size])
+def test_distribution_csv_matches_per_row_writer_byte_for_byte(tmp_path, size):
+    times = EDGE_VALUES[:size]
+    probabilities = EDGE_VALUES[::-1][:size]
+    write_distribution_csv(tmp_path / "shared.csv", times, probabilities)
+    per_row_distribution_csv(tmp_path / "per_row.csv", times, probabilities)
+    shared = (tmp_path / "shared.csv").read_bytes()
+    assert shared == (tmp_path / "per_row.csv").read_bytes()
+    if size == EDGE_VALUES.size:
+        for text in (b"-0,", b",4.9406564584124654e-324", b"inf", b"-inf", b"nan"):
+            assert text in shared
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(16, 1e-3, 2e-2), (32, 5e-4, 1e-2)],
+    [(8, -0.0, 5e-324), (np.int64(64), np.inf, np.nan), (1024, 1e-310, -np.inf)],
+])
+def test_defect_sweep_csv_matches_per_row_writer_byte_for_byte(tmp_path, rows):
+    write_defect_sweep_csv(tmp_path / "shared.csv", rows)
+    per_row_defect_sweep_csv(tmp_path / "per_row.csv", rows)
+    assert ((tmp_path / "shared.csv").read_bytes()
+            == (tmp_path / "per_row.csv").read_bytes())
