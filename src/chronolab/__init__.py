@@ -17,7 +17,6 @@ from .classical import (
     Trajectory,
     check_equivalence,
     coordinate,
-    eval_extended_hamiltonian,
     extend_state,
     free_particle,
     harmonic_oscillator,
@@ -34,7 +33,6 @@ from .constraint import (
     PhysicalSubspace,
     make_physical_state,
     principal_angles,
-    project_physical,
     snap_energies,
     solve_constraint_kernel,
     solve_constraint_spectral,

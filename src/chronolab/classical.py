@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "free_particle",
     "quartic_oscillator",
     "extend_state",
-    "eval_extended_hamiltonian",
     "poisson_bracket",
     "coordinate",
     "integrate_original",
@@ -40,7 +39,7 @@ __all__ = [
     "check_equivalence",
 ]
 
-# Fixed-point iteration defaults for the implicit midpoint rule.
+# Fixed-point iteration settings of the implicit midpoint rule.
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_ITER = 50
 # Most grid steps one classical run may take; the bundled runs take 6,283.
@@ -240,11 +239,6 @@ def extend_state(system: HamiltonianSystem, x: PhaseState, t0: float) -> Extende
     return ExtendedPhaseState(base=x, T=float(t0), S=-float(system.energy(x.q, x.p)))
 
 
-def eval_extended_hamiltonian(ext: ExtendedSystem, y: ExtendedPhaseState) -> float:
-    """Value of H_ex = H(q, p) + S at an extended point."""
-    return ext.energy(y)
-
-
 def coordinate(name: str, index: int = 0):
     """Coordinate function on the extended phase space, for bracket evaluation.
 
@@ -334,15 +328,17 @@ def poisson_bracket(f, g, y: ExtendedPhaseState, rel_step: float = 1e-5):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled trajectory; extended runs carry the (T, S) channels."""
+    """Uniformly sampled trajectory; extended runs carry the (T, S) channels.
+
+    `step` is the grid spacing, read off `params`.
+    """
 
     params: np.ndarray
     qs: np.ndarray
     ps: np.ndarray
     Ts: np.ndarray | None = None
     Ss: np.ndarray | None = None
-    integrator: str = "implicit-midpoint"
-    step: float = 0.0
+    step: float = field(init=False)
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -376,12 +372,6 @@ class Trajectory:
     def n(self) -> int:
         return self.qs.shape[1]
 
-    def state(self, k: int):
-        base = PhaseState(q=self.qs[k], p=self.ps[k])
-        if self.extended:
-            return ExtendedPhaseState(base=base, T=self.Ts[k], S=self.Ss[k])
-        return base
-
     def to_csv(self, path):
         """Write `param,q1..qn,p1..pn[,T,S]` rows at full double precision."""
         n = self.n
@@ -391,24 +381,6 @@ class Trajectory:
             header += ["T", "S"]
             cols += [self.Ts, self.Ss]
         write_csv(path, header, cols)
-
-    @classmethod
-    def from_csv(cls, path, integrator="implicit-midpoint"):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if header[0] != "param":
-            raise InvalidInputError(f"unrecognized trajectory header in {path}")
-        extended = header[-2:] == ["T", "S"]
-        n = (len(header) - 1 - (2 if extended else 0)) // 2
-        return cls(
-            params=data[:, 0],
-            qs=data[:, 1:1 + n],
-            ps=data[:, 1 + n:1 + 2 * n],
-            Ts=data[:, -2] if extended else None,
-            Ss=data[:, -1] if extended else None,
-            integrator=integrator,
-        )
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -432,7 +404,7 @@ def _step_count(t_end: float, dt: float) -> int:
     return nsteps
 
 
-def _midpoint(velocity, q, p, nsteps, dt, tol, max_iter, finite, sup):
+def _midpoint(velocity, q, p, nsteps, dt, finite, sup):
     """Implicit-midpoint steps of (dq, dp)/dt = velocity(q, p) from (q, p).
 
     q and p are Python floats or arrays alike: `finite` tests one block of
@@ -452,7 +424,7 @@ def _midpoint(velocity, q, p, nsteps, dt, tol, max_iter, finite, sup):
         else:
             qa = q
             pa = p
-        for _ in range(max_iter):
+        for _ in range(MIDPOINT_MAX_ITER):
             fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
             qn = q + dt * fq
             pn = p + dt * fp
@@ -461,12 +433,12 @@ def _midpoint(velocity, q, p, nsteps, dt, tol, max_iter, finite, sup):
             delta = max(sup(qn - qa), sup(pn - pa))
             qa = qn
             pa = pn
-            if delta <= tol:
+            if delta <= MIDPOINT_TOL:
                 break
         else:
             raise NumericalFailureError(
                 f"implicit-midpoint iteration stalled at step {step} "
-                f"(max {max_iter} iterations)"
+                f"(max {MIDPOINT_MAX_ITER} iterations)"
             )
         q = qa
         p = pa
@@ -483,41 +455,39 @@ def _sup(block):
     return np.max(np.abs(block))
 
 
-def _run(system, q0, p0, nsteps, dt, tol, max_iter):
+def _run(system, q0, p0, nsteps, dt):
     """q and p as (nsteps + 1, n) arrays along the implicit-midpoint flow."""
     if system.velocity is not None:
         qs, ps = _midpoint(system.velocity, float(q0[0]), float(p0[0]), nsteps, dt,
-                           tol, max_iter, math.isfinite, abs)
+                           math.isfinite, abs)
     else:
         def velocity(q, p):
             gq, gp = system.gradient(q, p)
             return np.asarray(gp, dtype=float), -np.asarray(gq, dtype=float)
 
-        qs, ps = _midpoint(velocity, q0, p0, nsteps, dt, tol, max_iter, _all_finite, _sup)
+        qs, ps = _midpoint(velocity, q0, p0, nsteps, dt, _all_finite, _sup)
     shape = (nsteps + 1, system.n)
     return np.array(qs, dtype=float).reshape(shape), np.array(ps, dtype=float).reshape(shape)
 
 
 def integrate_original(system: HamiltonianSystem, x0: PhaseState, t_end: float,
-                       dt: float, tol: float = MIDPOINT_TOL,
-                       max_iter: int = MIDPOINT_MAX_ITER) -> Trajectory:
+                       dt: float) -> Trajectory:
     """Flow of Hamilton's equations from t = 0 to t_end with step dt."""
     if x0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     nsteps = _step_count(t_end, dt)
-    qs, ps = _run(system, x0.q, x0.p, nsteps, dt, tol, max_iter)
-    return Trajectory(params=dt * np.arange(nsteps + 1), qs=qs, ps=ps, step=dt)
+    qs, ps = _run(system, x0.q, x0.p, nsteps, dt)
+    return Trajectory(params=dt * np.arange(nsteps + 1), qs=qs, ps=ps)
 
 
 def integrate_extended(ext: ExtendedSystem, y0: ExtendedPhaseState, theta_end: float,
-                       dtheta: float, tol: float = MIDPOINT_TOL,
-                       max_iter: int = MIDPOINT_MAX_ITER) -> Trajectory:
+                       dtheta: float) -> Trajectory:
     """Flow of the extended canonical equations in the parameter theta."""
     system = ext.inner
     if y0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     nsteps = _step_count(theta_end, dtheta)
-    qs, ps = _run(system, y0.base.q, y0.base.p, nsteps, dtheta, tol, max_iter)
+    qs, ps = _run(system, y0.base.q, y0.base.p, nsteps, dtheta)
     # dT/dtheta = dH_ex/dS = 1 and dS/dtheta = -dH_ex/dT = 0 for autonomous
     # inner systems, so these channels step exactly: T accumulates dtheta.
     Ts = list(itertools.accumulate(itertools.repeat(dtheta, nsteps), initial=y0.T))
@@ -527,7 +497,6 @@ def integrate_extended(ext: ExtendedSystem, y0: ExtendedPhaseState, theta_end: f
         ps=ps,
         Ts=np.array(Ts),
         Ss=np.full(nsteps + 1, y0.S),
-        step=dtheta,
     )
 
 
@@ -539,28 +508,12 @@ class EquivalenceReport:
     max_time_mismatch    largest |T(theta_k) - t_k|
     max_slope_residual   largest |T(theta_k) - T(0) - theta_k|
     max_constraint_residual  largest |H + S| = |H_ex| along the extended run
-    offset               T(0) - t(0); nonzero values flag misaligned initial data
     """
 
     max_state_deviation: float
     max_time_mismatch: float
     max_slope_residual: float
     max_constraint_residual: float
-    offset: float
-
-    @property
-    def offset_flagged(self) -> bool:
-        return abs(self.offset) > 1e-12
-
-    def as_dict(self) -> dict:
-        return {
-            "max_state_deviation": self.max_state_deviation,
-            "max_time_mismatch": self.max_time_mismatch,
-            "max_slope_residual": self.max_slope_residual,
-            "max_constraint_residual": self.max_constraint_residual,
-            "offset": self.offset,
-            "offset_flagged": self.offset_flagged,
-        }
 
 
 def check_equivalence(orig: Trajectory, ext: Trajectory,
@@ -591,5 +544,4 @@ def check_equivalence(orig: Trajectory, ext: Trajectory,
         max_time_mismatch=float(np.max(np.abs(ext.Ts - orig.params))),
         max_slope_residual=float(np.max(np.abs(slope_residual))),
         max_constraint_residual=float(np.max(np.abs(ext.Ss + energies))),
-        offset=float(ext.Ts[0] - orig.params[0]),
     )

@@ -70,7 +70,6 @@ class ToleranceConfig:
     state_deviation: float = 1e-9
     time_residual: float = 1e-10
     constraint_drift: float = 1e-10
-    hex_drift: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,6 @@ _KEYS = {
     "tolerances.state_deviation": ("tolerances", "state_deviation", _parse_float),
     "tolerances.time_residual": ("tolerances", "time_residual", _parse_float),
     "tolerances.constraint_drift": ("tolerances", "constraint_drift", _parse_float),
-    "tolerances.hex_drift": ("tolerances", "hex_drift", _parse_float),
     "classical.dt": ("classical", "dt", _parse_float),
     "classical.t_end": ("classical", "t_end", _parse_float),
     "classical.t0": ("classical", "t0", _parse_float),
@@ -203,7 +201,7 @@ def _validate(cfg: ScenarioConfig, problems: list):
         problems.append(f"clock.sigma must be 1 or -1; got {clk.sigma}")
     if tol.eps_match < 0:
         problems.append("tolerances.eps_match must be >= 0")
-    for name in ("state_deviation", "time_residual", "constraint_drift", "hex_drift"):
+    for name in ("state_deviation", "time_residual", "constraint_drift"):
         if not getattr(tol, name) > 0:
             problems.append(f"tolerances.{name} must be positive")
     if not cla.dt > 0:

@@ -35,13 +35,10 @@ __all__ = [
     "solve_constraint_kernel",
     "snap_energies",
     "make_physical_state",
-    "project_physical",
     "stationarity_check",
     "principal_angles",
     "constraint_residual",
 ]
-
-PROJECTION_FLOOR = 1e-14
 
 
 class MatchedPair(NamedTuple):
@@ -204,8 +201,9 @@ def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:
     k_lo, k_hi = -clock.M // 2, clock.M // 2 - 1
     shifts = []
     new_energies = np.empty_like(system.energies)
-    for i, energy in enumerate(system.energies):
-        k = int(np.clip(round(-sigma * energy / step), k_lo, k_hi))
+    for i, energy in enumerate(system.energies.tolist()):
+        # clipped before rounding: a ratio past the float range is inf
+        k = round(min(max(-sigma * energy / step, k_lo), k_hi))
         snapped = -sigma * k * step
         new_energies[i] = snapped
         shifts.append((i, float(energy), float(snapped)))
@@ -223,24 +221,6 @@ def make_physical_state(sub: PhysicalSubspace, coeffs) -> PhysicalState:
         raise InvalidInputError(f"need {sub.d} coefficients, got shape {c.shape}")
     c = unit(c)
     return PhysicalState(subspace=sub, coeffs=c, vector=sub.basis @ c)
-
-
-def project_physical(sub: PhysicalSubspace, psi) -> tuple[PhysicalState | None, float]:
-    """Orthogonal projection onto the subspace and its squared norm.
-
-    Returns (None, weight) when the projection weight is below 1e-14.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (sub.space.dim,):
-        raise InvalidInputError("state length does not match the extended dimension")
-    if sub.d == 0:
-        return None, 0.0
-    coeffs = sub.basis.conj().T @ psi
-    weight = float(np.vdot(coeffs, coeffs).real)
-    if weight < PROJECTION_FLOOR:
-        return None, weight
-    c = coeffs / np.sqrt(weight)
-    return PhysicalState(subspace=sub, coeffs=c, vector=sub.basis @ c), weight
 
 
 def constraint_residual(ext: ExtendedSpace, vec) -> float:

@@ -295,16 +295,6 @@ class CovarianceReport:
     stationary_deviation: float
     sigma: int
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "bins": self.bins,
-            "interpolated": self.interpolated,
-            "shift_deviation": self.shift_deviation,
-            "stationary_deviation": self.stationary_deviation,
-            "sigma": self.sigma,
-        }
-
 
 def covariance_report(ext: ExtendedSpace, psi, theta: float) -> CovarianceReport:
     """Compare the evolved clock marginal with the cyclic shift of the original.

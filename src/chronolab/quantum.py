@@ -18,6 +18,7 @@ the dense S_op, H_ex and eigensystem() are built only for the oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -90,23 +91,28 @@ class SystemSpace:
 def build_system_space(hamiltonian) -> SystemSpace:
     """Eigendecompose a Hermitian matrix into a SystemSpace.
 
-    Raises InvalidInputError with the violation norm if the input is not
-    Hermitian to 1e-10.
+    Raises InvalidInputError for non-finite entries, and with the violation
+    norm if the input is not Hermitian to 1e-10.  Every guard is written
+    `not (x <= tol)`, so a NaN fails it.
     """
     H = np.asarray(hamiltonian, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
         raise InvalidInputError(f"expected a square matrix, got shape {H.shape}")
-    violation = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if violation > HERMITICITY_TOL:
+    if not np.all(np.isfinite(H)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    with np.errstate(over="ignore"):  # an overflowing difference is a violation
+        violation = float(np.max(np.abs(H - H.conj().T)))
+    if not violation <= HERMITICITY_TOL:
         raise InvalidInputError(
             f"matrix is not Hermitian: max |H - H'| = {violation:.3e}"
         )
-    H = 0.5 * (H + H.conj().T)
+    # halve before adding: 0.5 * (H + H') overflows for entries near the float limit
+    H = 0.5 * H + 0.5 * H.conj().T
     energies, vectors = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H @ vectors - vectors * energies)) > 1e-10 * scale:
+    if not np.max(np.abs(H @ vectors - vectors * energies)) <= 1e-10 * scale:
         raise NumericalFailureError("eigendecomposition residual out of tolerance")
-    if np.max(np.abs(vectors.conj().T @ vectors - np.eye(H.shape[0]))) > 1e-12:
+    if not np.max(np.abs(vectors.conj().T @ vectors - np.eye(H.shape[0]))) <= 1e-12:
         raise NumericalFailureError("eigenvector matrix is not unitary to 1e-12")
     for arr in (H, energies, vectors):
         arr.setflags(write=False)
@@ -173,6 +179,15 @@ def build_clock(M: int, deltaT: float, T0: float = 0.0, sigma: int = 1) -> Clock
         raise InvalidInputError("T0 must be finite")
     if sigma not in (1, -1):
         raise InvalidInputError(f"sigma must be +1 or -1, got {sigma}")
+    # the grid's extremes, as Python floats (which overflow to inf silently)
+    top_frequency = math.pi / float(deltaT)
+    last_time = float(T0) + (M - 1) * float(deltaT)
+    if not (math.isfinite(top_frequency) and math.isfinite(last_time)):
+        raise InvalidInputError(
+            f"clock grid leaves the float range: largest frequency pi/deltaT = "
+            f"{top_frequency:g} and last time T0 + (M-1) deltaT = {last_time:g} "
+            "must be finite"
+        )
 
     m = np.arange(M)
     times = T0 + m * deltaT
@@ -299,13 +314,17 @@ def _connected_components(H: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:
-    """Pair a system with a clock; H_ex is assembled on first read."""
-    dim = system.n_levels * clock.M
+def check_dense_budget(dim: int):
+    """Refuse an extended dimension past MAX_EXTENDED_DIM."""
     if dim > MAX_EXTENDED_DIM:
         raise InvalidInputError(
             f"extended dimension {dim} exceeds the dense-solver budget {MAX_EXTENDED_DIM}"
         )
+
+
+def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:
+    """Pair a system with a clock; H_ex is assembled on first read."""
+    check_dense_budget(system.n_levels * clock.M)
     return ExtendedSpace(system=system, clock=clock)
 
 

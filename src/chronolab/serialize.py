@@ -1,14 +1,11 @@
-"""JSON containers for operators/states and CSV emitters for plot data.
+"""JSON container for the physical-subspace basis and CSV emitters for plot data.
 
 Complex arrays travel as row-major [re, im] pairs together with shape,
 basis-ordering tag, the sign convention and the clock-grid metadata.
-Round-trips preserve full double precision (floats are serialized via
-repr), though bit-exactness across platforms is not promised.
+Floats are serialized via repr, so the entries keep full double precision.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -16,9 +13,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "array_to_container",
-    "container_to_array",
-    "save_operator",
-    "load_operator",
     "subspace_to_container",
     "write_csv",
     "write_distribution_csv",
@@ -32,46 +26,17 @@ def _grid_metadata(clock) -> dict:
     return {"M": clock.M, "deltaT": clock.deltaT, "T0": clock.T0}
 
 
-def array_to_container(arr, sigma=None, grid=None, ordering=ORDERING) -> dict:
+def array_to_container(arr, sigma=None, grid=None) -> dict:
     """Pack a complex array into the JSON container."""
     arr = np.asarray(arr, dtype=complex)
     flat = arr.ravel(order="C")
     return {
         "shape": list(arr.shape),
         "entries": np.stack((flat.real, flat.imag), axis=1).tolist(),
-        "ordering": ordering,
+        "ordering": ORDERING,
         "sigma": sigma,
         "grid": grid,
     }
-
-
-def container_to_array(doc: dict) -> np.ndarray:
-    """Unpack the JSON container back into a complex array."""
-    try:
-        shape = tuple(doc["shape"])
-        entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed operator container: {exc}") from exc
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    if flat.size != int(np.prod(shape)):
-        raise InvalidInputError("entry count does not match the declared shape")
-    return flat.reshape(shape)
-
-
-def save_operator(path, arr, clock=None, sigma=None):
-    grid = _grid_metadata(clock) if clock is not None else None
-    if sigma is None and clock is not None:
-        sigma = clock.sigma
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(array_to_container(arr, sigma=sigma, grid=grid), fh, sort_keys=True)
-
-
-def load_operator(path) -> tuple[np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    arr = container_to_array(doc)
-    meta = {k: doc.get(k) for k in ("ordering", "sigma", "grid")}
-    return arr, meta
 
 
 def subspace_to_container(sub) -> dict:

@@ -10,7 +10,6 @@ from chronolab import (
     NumericalFailureError,
     PhaseState,
     coordinate,
-    eval_extended_hamiltonian,
     free_particle,
     harmonic_oscillator,
     poisson_bracket,
@@ -57,7 +56,7 @@ def test_antisymmetry_and_self_bracket():
     ext = system.extended()
 
     def h_ex(y):
-        return eval_extended_hamiltonian(ext, y)
+        return ext.energy(y)
 
     for _ in range(10):
         y = random_point(rng)
@@ -74,7 +73,7 @@ def test_time_generates_unit_rate():
         ext = system.extended()
 
         def h_ex(y):
-            return eval_extended_hamiltonian(ext, y)
+            return ext.energy(y)
 
         for _ in range(10):
             y = random_point(rng)
@@ -170,7 +169,7 @@ def draw_point_and_functions(draw):
         name = draw(names)
         if name == "H_ex":
             ext = system.extended()
-            return lambda state: eval_extended_hamiltonian(ext, state)
+            return lambda state: ext.energy(state)
         return coordinate(name, draw(st.integers(0, n - 1)))
 
     return y, function

@@ -6,7 +6,6 @@ from chronolab import (
     HamiltonianSystem,
     InvalidInputError,
     PhaseState,
-    eval_extended_hamiltonian,
     extend_state,
     free_particle,
     harmonic_oscillator,
@@ -44,7 +43,7 @@ def test_extend_state_harmonic():
     y = extend_state(system, PhaseState(q=[1.0], p=[0.0]), 0.0)
     assert y.T == 0.0
     assert y.S == -0.5
-    assert eval_extended_hamiltonian(system.extended(), y) == 0.0
+    assert system.extended().energy(y) == 0.0
 
 
 def test_extend_state_free_particle_zero_energy():
@@ -71,9 +70,9 @@ def test_extended_hamiltonian_off_surface():
     system = harmonic_oscillator()
     ext = system.extended()
     y = ExtendedPhaseState(base=PhaseState(q=[0.0], p=[0.0]), T=0.0, S=1.0)
-    assert eval_extended_hamiltonian(ext, y) == 1.0
+    assert ext.energy(y) == 1.0
     y2 = ExtendedPhaseState(base=PhaseState(q=[1.0], p=[0.0]), T=0.0, S=-0.5)
-    assert eval_extended_hamiltonian(ext, y2) == 0.0
+    assert ext.energy(y2) == 0.0
 
 
 def test_extend_state_is_exact_for_many_points():
@@ -83,7 +82,7 @@ def test_extend_state_is_exact_for_many_points():
         for _ in range(25):
             x = PhaseState(q=rng.normal(size=1), p=rng.normal(size=1))
             y = extend_state(system, x, rng.normal())
-            assert eval_extended_hamiltonian(ext, y) == 0.0
+            assert ext.energy(y) == 0.0
 
 
 def test_gradient_probe_rejects_wrong_gradient():

@@ -167,8 +167,7 @@ def valid_configs(draw):
                                                             allow_infinity=False)),
                                    state_deviation=draw(positive),
                                    time_residual=draw(positive),
-                                   constraint_drift=draw(positive),
-                                   hex_drift=draw(positive)),
+                                   constraint_drift=draw(positive)),
         classical=ClassicalConfig(dt=(dt := draw(positive)),
                                   # at most half the step budget, whatever the rounding
                                   t_end=draw(st.floats(min_value=0.0, exclude_min=True,

@@ -9,7 +9,6 @@ from chronolab import (
     build_system_space,
     make_physical_state,
     principal_angles,
-    project_physical,
     snap_energies,
     solve_constraint_kernel,
     solve_constraint_spectral,
@@ -20,7 +19,7 @@ from chronolab.constraint import (
     default_eps_match,
     physical_clock_marginal,
 )
-from chronolab.quantum import fidelity, separable_state, unit
+from chronolab.quantum import fidelity, separable_state
 
 
 def brute_force_pairs(ext, eps):
@@ -146,8 +145,6 @@ def test_gapped_spectrum_has_empty_kernel():
     sub = solve_constraint_kernel(ext, eps_eig=0.25 * step)
     assert sub.d == 0
     assert len(sub.misses) == 1
-    state, weight = project_physical(sub, unit(np.ones(ext.dim)))
-    assert state is None and weight == 0.0
     with pytest.raises(NoPhysicalStatesError):
         make_physical_state(sub, np.array([]))
 
@@ -187,23 +184,6 @@ def test_make_physical_state_validation(qubit):
         make_physical_state(sub, np.array([0.0, 0.0]))
     with pytest.raises(InvalidInputError):
         make_physical_state(sub, np.array([1.0]))
-
-
-def test_projection_weights(qubit):
-    sub = solve_constraint_spectral(qubit)
-    state, weight = project_physical(sub, sub.basis[:, 0])
-    assert weight == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(state.vector, sub.basis[:, 0]) > 1 - 1e-12
-
-    orthogonal = separable_state(qubit.system.eigenstate(0),
-                                 qubit.clock.plane_wave(5))
-    state, weight = project_physical(sub, orthogonal)
-    assert state is None
-    assert weight < 1e-14
-
-    half = unit(sub.basis[:, 0] + orthogonal)
-    _, weight = project_physical(sub, half)
-    assert weight == pytest.approx(0.5, abs=1e-12)
 
 
 def test_linearity_of_the_subspace(qubit):

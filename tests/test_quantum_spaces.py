@@ -51,6 +51,15 @@ def test_non_hermitian_rejected():
     assert "Hermitian" in str(info.value)
 
 
+def test_float_limit_entries_give_finite_energies():
+    # 0.5 * (H + H') would overflow to inf here and eigh would return NaN
+    space = build_system_space(np.diag([1e308, 0.0]))
+    assert np.all(np.isfinite(space.energies))
+    assert space.energies[1] == pytest.approx(1e308)
+    with pytest.raises(InvalidInputError):
+        build_system_space(np.diag([np.nan, 0.0]))
+
+
 def test_non_square_rejected():
     with pytest.raises(InvalidInputError):
         build_system_space(np.zeros((2, 3)))
@@ -142,6 +151,10 @@ def test_clock_validation():
         build_clock(8, -1.0)
     with pytest.raises(InvalidInputError):
         build_clock(8, 1.0, sigma=2)
+    with pytest.raises(InvalidInputError):
+        build_clock(8, 1e-308)  # pi/deltaT overflows
+    with pytest.raises(InvalidInputError):
+        build_clock(8, 1e308)  # T0 + (M-1) deltaT overflows
     with pytest.raises(InvalidInputError):
         build_clock(8, 1.0).plane_wave(4)
 

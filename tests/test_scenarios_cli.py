@@ -19,7 +19,7 @@ from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, c
                        parse_config, quantum, serialize_config)
 from chronolab.cli import main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
-from chronolab.scenarios import bundled_scenarios, emit_plotdata, run_scenario
+from chronolab.scenarios import bundled_scenarios, run_scenario
 
 QUBIT = """
 scenario = qubit_test
@@ -118,25 +118,6 @@ def test_expected_dim_failure_is_reported_not_raised():
     assert any("expected_dim" in r.check_id for r in failing)
 
 
-def test_emit_plotdata_dispatch(tmp_path):
-    from chronolab import PhaseState, free_particle, integrate_original
-
-    traj = integrate_original(free_particle(), PhaseState(q=[0.0], p=[1.0]), 1.0, 0.1)
-    emit_plotdata(traj, tmp_path / "traj.csv")
-    assert (tmp_path / "traj.csv").read_text().startswith("param,q1,p1")
-
-    emit_plotdata((np.array([0.0, 1.0]), np.array([0.5, 0.5])), tmp_path / "d.csv")
-    assert (tmp_path / "d.csv").read_text().startswith("m,T_m,p_m")
-
-    cfg = parse_config(QUBIT)
-    report = run_scenario(cfg, suites=("constraint-solve",))
-    emit_plotdata(report, tmp_path / "rep.json")
-    assert json.loads((tmp_path / "rep.json").read_text())["passed"] is True
-
-    with pytest.raises(Exception):
-        emit_plotdata(object(), tmp_path / "nope.csv")
-
-
 # --- command line ----------------------------------------------------------------
 
 def test_cli_single_suite_pass(tmp_path, capsys):
@@ -159,12 +140,14 @@ def test_cli_check_failure_exit_code(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    cfg_path = tmp_path / "broken.cfg"
-    cfg_path.write_text("scenario = broken\nsystem.kind = qubit\nfoo = 1\n")
-    code = main(["constraint-solve", "--config", str(cfg_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "unknown key" in captured.err
+    # tolerances.hex_drift set the threshold of a check that repeated constraint_drift
+    for line in ("foo = 1", "tolerances.hex_drift = 1e-8"):
+        cfg_path = tmp_path / "broken.cfg"
+        cfg_path.write_text(f"scenario = broken\nsystem.kind = qubit\n{line}\n")
+        code = main(["constraint-solve", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown key" in captured.err
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -235,7 +218,19 @@ clock.M = 16
 clock.deltaT = 0.5
 tolerances.eps_match = 0.01
 """, "the physical subspace is empty"),
-], ids=["oversized", "colliding-frequencies", "empty-subspace"])
+    ("quantum-equivalence", """
+scenario = tiny_step
+system.kind = qubit
+clock.deltaT = 1e-308
+""", "clock grid leaves the float range"),
+    # refused on the level count: the 10**9 x 10**9 draw is never asked for
+    ("covariance", """
+scenario = huge_system
+system.kind = random-hermitian
+system.n_levels = 1000000000
+""", "exceeds the dense-solver budget"),
+], ids=["oversized", "colliding-frequencies", "empty-subspace", "tiny-deltaT",
+        "huge-n-levels"])
 def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     cfg_path = tmp_path / "input.cfg"
     cfg_path.write_text(text)
@@ -535,8 +530,11 @@ def _bounded(text):
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(command=st.sampled_from(SUITE_NAMES), text=config_texts())
 # well-formed but degenerate physics, one per error exit: colliding levels
-# and an empty physical subspace (exit 2), a stiff oscillator (exit 3)
+# and an empty physical subspace (exit 2), a stiff oscillator (exit 3); and
+# a level at the float limit, snapped onto the grid
 @example(command="povm-audit", text=QUBIT.replace("0.0, 3.141592653589793", "0.0, 0.0"))
+@example(command="povm-audit",
+         text=QUBIT.replace("0.0, 3.141592653589793", "1e308, 0.0") + "system.snap = true\n")
 @example(command="time-distribution",
          text=QUBIT.replace("0.0, 3.141592653589793", "0.3, 0.7") + "tolerances.eps_match = 0.01\n")
 @example(command="classical-equivalence", text="scenario = stiff\nsystem.kind = oscillator\n"
