@@ -54,7 +54,6 @@ from .povm import (
     conditional_states,
     covariance_report,
     event_probability,
-    gram_of_restricted_time_states,
     pm_violation_report,
     projective_clock_povm,
     time_distribution,

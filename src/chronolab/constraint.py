@@ -156,20 +156,6 @@ def solve_constraint_spectral(ext: ExtendedSpace, eps_match: float | None = None
                             misses=tuple(misses), method="spectral")
 
 
-def _orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    out = columns.astype(complex).copy()
-    for _ in range(2):
-        for j in range(out.shape[1]):
-            for i in range(j):
-                out[:, j] -= np.vdot(out[:, i], out[:, j]) * out[:, i]
-            norm = np.linalg.norm(out[:, j])
-            if norm < 1e-12:
-                raise InvalidInputError("kernel eigenvectors are numerically dependent")
-            out[:, j] /= norm
-    return out
-
-
 def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) -> PhysicalSubspace:
     """Physical subspace as the near-null eigenspace of the assembled H_ex.
 
@@ -181,10 +167,8 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidInputError("eps_eig must be positive and finite")
     lam, W = ext.eigensystem()
-    selected = np.flatnonzero(np.abs(lam) <= eps)
-    basis = W[:, selected]
-    if selected.size:
-        basis = _orthonormalize(basis)
+    # columns of the unitary W: orthonormal as they stand
+    basis = W[:, np.flatnonzero(np.abs(lam) <= eps)]
     pairs, misses = _match_levels(ext, eps)
     return PhysicalSubspace(space=ext, basis=basis, pairs=tuple(pairs), eps=eps,
                             misses=tuple(misses), method="kernel")

@@ -11,7 +11,9 @@ which are positive, sum to the identity, and are neither idempotent nor
 mutually orthogonal whenever d < M: the reading of each bin overlaps its
 neighbours.  The d = M control case degenerates to orthogonal projectors.
 A TimePOVM is therefore its frame W: every audited quantity is computed
-from W and its Gram matrix G = W W^dag, not from the effect stack.
+from W, not from the effect stack.  The frame is covariant under the cyclic
+clock shift, so its Gram matrix G = W W^dag is circulant and one column of
+it carries every PM defect.
 
 Conditioning on a bin recovers the system state at that clock reading, and
 successive bins are related by exp(-i sigma H_s deltaT), so the frozen
@@ -41,7 +43,6 @@ __all__ = [
     "build_time_povm",
     "projective_clock_povm",
     "pm_violation_report",
-    "gram_of_restricted_time_states",
     "time_distribution",
     "conditional_state",
     "conditional_states",
@@ -158,38 +159,26 @@ def pm_violation_report(povm: TimePOVM) -> PMViolationReport:
     """max_{m != m'} ||E_m E_m'|| and max_m ||E_m^2 - E_m|| (spectral norms).
 
     Rank one gives |G[m, m']| sqrt(G[m, m] G[m', m']) and |G[m, m] - 1| G[m, m]
-    with G = W W^dag; `worst_pair` is the first maximising m < m' row-major.
+    with G = W W^dag.  For a frame covariant under the cyclic clock shift P,
+    G[m, m'] depends on m - m' (mod M) only, so the column g = G[:, 0] holds
+    every defect: each norm is g[0], and `worst_pair` is (0, m') for the
+    first m' maximising |g[m']|.  A frame whose span P does not map onto
+    itself, max |P W - W W^dag P W| > FRAME_TOL, raises InvalidInputError.
     """
     W = povm.frame
-    gram = W @ W.conj().T
-    norms = gram.diagonal().real
-    orth = np.triu(np.abs(gram) * np.sqrt(np.outer(norms, norms)), k=1)
-    worst = np.unravel_index(np.argmax(orth), orth.shape)
-    idem = np.abs(norms - 1.0) * norms
-    return PMViolationReport(orthogonality_defect=float(orth[worst]),
-                             idempotency_defect=float(idem.max()),
-                             worst_pair=(int(worst[0]), int(worst[1])))
-
-
-def _closed_form_orthogonality_defect(pairs, M: int) -> float:
-    """max ||E_m E_m'|| for matched plane waves: ||w_m||^2 = d / M, and
-    |G[m, m']| = |sum_a exp(2 pi i k_a delta / M)| / M with delta = m' - m."""
-    ks = np.array([p.k for p in pairs])
-    delta = np.arange(1, M)[:, None]
-    amp = np.abs(np.sum(np.exp(2j * np.pi * ks * delta / M), axis=1)) / M
-    return float(np.max((len(ks) / M) * amp))
-
-
-def gram_of_restricted_time_states(sub: PhysicalSubspace) -> np.ndarray:
-    """Gram matrix G[m, m'] = <T_m| P |T_m'> of the clock-sector projection P.
-
-    Contraction convention (fixed): P projects onto the clock-sector image
-    of the basis, P = W W^dag with W from `clock_sector_frame`.  G is
-    positive semidefinite; it is diagonal only in the d = M control case,
-    and for d = 1 every entry has the same modulus 1/M.
-    """
-    W = clock_sector_frame(sub)
-    return W @ W.conj().T
+    shifted = np.roll(W, 1, axis=0)
+    residual = float(np.max(np.abs(shifted - W @ (W.conj().T @ shifted))))
+    if not residual <= FRAME_TOL:
+        raise InvalidInputError(
+            "time POVM frame is not covariant under the clock shift "
+            f"(residual {residual:.3e}); its Gram matrix is not circulant"
+        )
+    g = W @ W[0].conj()
+    norm = float(g[0].real)
+    worst = 1 + int(np.argmax(np.abs(g[1:])))
+    return PMViolationReport(orthogonality_defect=float(np.abs(g[worst])) * norm,
+                             idempotency_defect=abs(norm - 1.0) * norm,
+                             worst_pair=(0, worst))
 
 
 def _coeffs_of(state) -> np.ndarray:

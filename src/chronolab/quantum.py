@@ -139,10 +139,14 @@ class ClockSpace:
     def S_op(self) -> np.ndarray:
         """Dense F^dag diag(w) F, read-only; its spectrum is checked against
         `frequencies` to 1e-10."""
-        # row j of the clock apply to the identity is S e_j, the column j of S
-        S_op = _clock_apply(self.frequencies, np.eye(self.M)).T
-        S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
-        if np.max(np.abs(np.linalg.eigvalsh(S_op) - self.frequencies)) > 1e-10:
+        # row j of the clock apply to the identity is S e_j, the column j of S;
+        # entries past the float range fail the spectrum check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            S_op = _clock_apply(self.frequencies, np.eye(self.M)).T
+            S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
+            deviation = np.max(np.abs(_decompose(np.linalg.eigvalsh, S_op)
+                                      - self.frequencies))
+        if not deviation <= 1e-10:
             raise NumericalFailureError("S_op spectrum deviates from the frequency grid")
         S_op.setflags(write=False)
         return S_op
@@ -275,9 +279,9 @@ class ExtendedSpace:
             H = self.hamiltonian
             blocks = _connected_components(H)
             if len(blocks) == 1:
-                lam, W = np.linalg.eigh(H)
+                lam, W = _decompose(np.linalg.eigh, H)
             else:
-                pairs = [np.linalg.eigh(H[np.ix_(rows, rows)]) for rows in blocks]
+                pairs = [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in blocks]
                 rank = np.empty(self.dim, dtype=np.intp)
                 rank[np.argsort(np.concatenate([values for values, _ in pairs]),
                                 kind="stable")] = np.arange(self.dim)
@@ -293,6 +297,15 @@ class ExtendedSpace:
             W.setflags(write=False)
             self._eig = (lam, W)
         return self._eig
+
+
+def _decompose(decompose, H: np.ndarray):
+    """`decompose(H)` for the dense oracles; LAPACK's failure to converge
+    (a grid too fine for the float range, say) is a NumericalFailureError."""
+    try:
+        return decompose(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"dense eigendecomposition failed: {exc}") from None
 
 
 def _connected_components(H: np.ndarray) -> list[np.ndarray]:
@@ -352,6 +365,19 @@ def _eigenbasis_apply(V: np.ndarray, diag: np.ndarray, x: np.ndarray) -> np.ndar
     return (scaled.reshape(-1, d) @ V.T).reshape(scaled.shape)
 
 
+def _phases(theta, x, sigma: int = 1) -> np.ndarray:
+    """exp(-i theta sigma x), the propagator phases of the spectrum x.
+
+    A phase whose angle leaves the float range has no value; it raises
+    InvalidInputError instead of turning into NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = -1j * theta * sigma * x
+    if not np.isfinite(angle).all():
+        raise InvalidInputError("evolution phase theta * energy leaves the float range")
+    return np.exp(angle)
+
+
 def _hex_apply(ext: ExtendedSpace, psi: np.ndarray) -> np.ndarray:
     """H_ex psi in factored form: H_s X + sigma (S along the clock axis of X)."""
     block = psi.reshape(ext.system.n_levels, ext.clock.M)
@@ -388,13 +414,13 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
         block = psi.reshape(psi.shape[:-1] + (sys_s.n_levels, clk.M))
         theta = theta[..., None, None]
         # the system factor acts on the level axis: it goes last and back
-        block = _eigenbasis_apply(sys_s.vectors, np.exp(-1j * theta * sys_s.energies),
+        block = _eigenbasis_apply(sys_s.vectors, _phases(theta, sys_s.energies),
                                   block.swapaxes(-1, -2)).swapaxes(-1, -2)
-        block = _clock_apply(np.exp(-1j * theta * ext.sigma * clk.frequencies), block)
+        block = _clock_apply(_phases(theta, clk.frequencies, ext.sigma), block)
         return block.reshape(block.shape[:-2] + (ext.dim,))
     if method == "dense":
         lam, W = ext.eigensystem()
-        return _eigenbasis_apply(W, np.exp(-1j * lam * theta[..., None]), psi)
+        return _eigenbasis_apply(W, _phases(theta[..., None], lam), psi)
     raise InvalidInputError(f"unknown evolution method {method!r}")
 
 
@@ -417,8 +443,8 @@ def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t):
     except ValueError:
         raise InvalidInputError("factor stacks do not broadcast against t") from None
     t = t[..., None]
-    out_s = _eigenbasis_apply(system.vectors, np.exp(-1j * t * system.energies), psi_s)
-    out_T = _clock_apply(np.exp(-1j * t * clock.sigma * clock.frequencies), psi_T)
+    out_s = _eigenbasis_apply(system.vectors, _phases(t, system.energies), psi_s)
+    out_T = _clock_apply(_phases(t, clock.frequencies, clock.sigma), psi_T)
     return out_s, out_T
 
 

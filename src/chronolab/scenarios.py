@@ -186,8 +186,8 @@ def _quantum_setup(cfg: ScenarioConfig, rng, rec: _Recorder, spaces: dict):
     return ext.system, ext.clock, ext
 
 
-def _random_coeffs(rng, d: int) -> np.ndarray:
-    return quantum.unit(rng.normal(size=d) + 1j * rng.normal(size=d))
+def _random_unit(rng, size: int) -> np.ndarray:
+    return quantum.unit(rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +239,8 @@ def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict,
 
     # 20 product states with 5 thetas each, drawn one state at a time
     n, M = system.n_levels, clock.M
-    draws = [(quantum.unit(rng.normal(size=n) + 1j * rng.normal(size=n)),
-              quantum.unit(rng.normal(size=M) + 1j * rng.normal(size=M)),
-              rng.uniform(-10, 10, size=5)) for _ in range(20)]
+    draws = [(_random_unit(rng, n), _random_unit(rng, M), rng.uniform(-10, 10, size=5))
+             for _ in range(20)]
     psi_s, psi_T, thetas = (np.array(column) for column in zip(*draws))
     psi_s, psi_T = psi_s[:, None], psi_T[:, None]  # (20, 1, .) against (20, 5) thetas
     psi = quantum.separable_state(psi_s, psi_T)
@@ -253,10 +252,7 @@ def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict,
     kron = quantum.evolve_extended(ext, psi, thetas, method="kron")
     rec.add("kron_dense_agreement", float(np.max(np.abs(kron - joint))), 1e-10, "<=")
 
-    psi = quantum.separable_state(
-        quantum.unit(rng.normal(size=system.n_levels) + 1j * rng.normal(size=system.n_levels)),
-        quantum.gaussian_clock_state(clock),
-    )
+    psi = quantum.separable_state(_random_unit(rng, n), quantum.gaussian_clock_state(clock))
     one = quantum.evolve_extended(ext, psi, 0.7)
     rec.add("unitarity", abs(np.linalg.norm(one) - 1.0), 1e-12, "<=")
     two = quantum.evolve_extended(ext, quantum.evolve_extended(ext, psi, 0.3), 0.4)
@@ -285,10 +281,10 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
                             spaces: dict) -> _Recorder:
     rec = _Recorder("constraint")
     system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
-    eps = cfg.tolerances.eps_match or None
-    spectral = constraint.solve_constraint_spectral(ext, eps)
-    # the dense kernel route is the oracle the spectral one is compared with
-    kernel = constraint.solve_constraint_kernel(ext, eps)
+    spectral = _solve_spectral(cfg, ext)
+    # the dense kernel route, at the same tolerance, is the oracle the
+    # spectral one is compared with
+    kernel = constraint.solve_constraint_kernel(ext, spectral.eps)
     out["subspace"] = spectral
 
     rec.add("dim_spectral", spectral.d, None, "info")
@@ -325,7 +321,7 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
         rec.add("restricted_s_matrix",
                 float(np.max(np.abs(restricted - expected))), 1e-9, "<=")
 
-        state = constraint.make_physical_state(spectral, _random_coeffs(rng, spectral.d))
+        state = constraint.make_physical_state(spectral, _random_unit(rng, spectral.d))
         marg = constraint.physical_clock_marginal(state)
         rec.add("uniform_clock_marginal",
                 float(np.max(np.abs(marg - 1.0 / clock.M))), 1e-10, "<=")
@@ -352,19 +348,11 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
     if measure.d < measure.M:
         rec.add("orthogonality_defect", violation.orthogonality_defect, 1e-6, ">=")
         rec.add("idempotency_defect", violation.idempotency_defect, 1e-6, ">=")
-        closed = povm._closed_form_orthogonality_defect(spectral.pairs, clock.M)
-        rec.add("orthogonality_defect_vs_closed_form",
-                violation.orthogonality_defect, closed - 1e-10, ">=")
 
     control_clock = quantum.build_clock(16, clock.deltaT, clock.T0, clock.sigma)
     control = povm.pm_violation_report(povm.projective_clock_povm(control_clock))
     rec.add("control_orthogonality_defect", control.orthogonality_defect, 1e-12, "<=")
     rec.add("control_idempotency_defect", control.idempotency_defect, 1e-12, "<=")
-
-    gram = povm.gram_of_restricted_time_states(spectral)
-    off = gram - np.diag(np.diag(gram))
-    if measure.d < measure.M:
-        rec.add("gram_offdiagonal_mass", float(np.max(np.abs(off))), 1e-6, ">=")
 
     rec.add("first_moment_vs_closed_form",
             povm.first_moment_vs_closed_form(measure, spectral.pairs),
@@ -431,7 +419,7 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
         worst = 1.0
         step_phases = np.exp(-1j * clock.sigma * system.energies * clock.deltaT)
         for _ in range(20):
-            trial = constraint.make_physical_state(spectral, _random_coeffs(rng, d))
+            trial = constraint.make_physical_state(spectral, _random_unit(rng, d))
             cond = povm.conditional_states(spectral, trial)
             # bin m + 1 (cyclic) against one propagator step from bin m
             stepped = quantum._eigenbasis_apply(system.vectors, step_phases, cond.T).T
@@ -454,7 +442,7 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
 
     sums = 0.0
     for _ in range(100):
-        p = povm.time_distribution(measure, _random_coeffs(rng, d))
+        p = povm.time_distribution(measure, _random_unit(rng, d))
         sums = max(sums, abs(float(p.sum()) - 1.0))
     rec.add("distribution_normalization", sums, 1e-10, "<=")
     return rec
@@ -464,10 +452,8 @@ def _suite_covariance(cfg: ScenarioConfig, rng, out: dict,
                       spaces: dict) -> _Recorder:
     rec = _Recorder("covariance")
     system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
-    psi = quantum.separable_state(
-        quantum.unit(rng.normal(size=system.n_levels) + 1j * rng.normal(size=system.n_levels)),
-        quantum.gaussian_clock_state(clock),
-    )
+    psi = quantum.separable_state(_random_unit(rng, system.n_levels),
+                                  quantum.gaussian_clock_state(clock))
     report5 = povm.covariance_report(ext, psi, 5 * clock.deltaT)
     rec.add("generic_shift_deviation", report5.shift_deviation, 1e-8, "<=")
     report0 = povm.covariance_report(ext, psi, 0.0)
@@ -475,7 +461,7 @@ def _suite_covariance(cfg: ScenarioConfig, rng, out: dict,
 
     spectral = _solve_spectral(cfg, ext)
     if spectral.d:
-        state = constraint.make_physical_state(spectral, _random_coeffs(rng, spectral.d))
+        state = constraint.make_physical_state(spectral, _random_unit(rng, spectral.d))
         rep = povm.covariance_report(ext, state.vector, 5 * clock.deltaT)
         rec.add("physical_marginal_invariance", rep.stationary_deviation, 1e-10, "<=")
     return rec

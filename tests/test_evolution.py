@@ -23,7 +23,7 @@ from chronolab import (
     uncertainty_product,
 )
 from chronolab.constraint import constraint_residual
-from chronolab.quantum import clock_marginal, fidelity, unit
+from chronolab.quantum import _phases, clock_marginal, fidelity, unit
 
 
 def random_hermitian(rng, n):
@@ -250,6 +250,28 @@ def test_a_non_finite_theta_anywhere_is_rejected(setup, theta):
             evolve_extended(ext, psi, theta, method)
     with pytest.raises(InvalidInputError, match="finite"):
         evolve_factored(system, clock, psi_s, psi_T, theta)
+
+
+def test_an_overflowing_phase_is_rejected_on_every_path(setup):
+    system, clock, ext = setup
+    rng = np.random.default_rng(47)
+    theta = 1.5e308  # finite, but theta * w overflows on the clock's outer frequencies
+    for method in ("kron", "dense"):
+        with pytest.raises(InvalidInputError, match="leaves the float range"):
+            evolve_extended(ext, random_state(rng, ext.dim), theta, method)
+    with pytest.raises(InvalidInputError, match="leaves the float range"):
+        evolve_factored(system, clock, random_state(rng, system.n_levels),
+                        random_state(rng, clock.M), theta)
+
+
+def test_phases_are_bit_identical_to_the_inline_formulas():
+    # signed zeros included: the phase keeps every bit of exp(-i theta [sigma] x)
+    theta = np.array([0.0, -0.0, 1.3, -7.0, 1e-300])[:, None]
+    x = np.array([0.0, -0.0, 2.0, -2.0, 0.5, 1e300, -3e-310])
+    assert _phases(theta, x).tobytes() == np.exp(-1j * theta * x).tobytes()
+    for sigma in (1, -1):
+        expected = np.exp(-1j * theta * sigma * x)
+        assert _phases(theta, x, sigma).tobytes() == expected.tobytes()
 
 
 def test_a_wrong_trailing_dimension_or_stack_shape_is_rejected(setup):

@@ -10,6 +10,7 @@ from chronolab import (
     InvalidInputError,
     NoPhysicalStatesError,
     NumericalFailureError,
+    TimePOVM,
     build_clock,
     build_extended,
     build_system_space,
@@ -18,10 +19,10 @@ from chronolab import (
     conditional_states,
     covariance_report,
     event_probability,
-    gram_of_restricted_time_states,
     make_physical_state,
     pm_violation_report,
     projective_clock_povm,
+    solve_constraint_kernel,
     solve_constraint_spectral,
     time_distribution,
 )
@@ -54,6 +55,16 @@ def brute_force_defects(effects):
         for m in range(M)
     )
     return orth, idem
+
+
+def dense_gram_defects(W):
+    """Rank-one defects over every pair of the dense M x M Gram matrix
+    G = W W^dag, with no covariance assumed: the (M, M) upper-triangular
+    orthogonality defects and the largest idempotency defect."""
+    gram = W @ W.conj().T
+    norms = gram.diagonal().real
+    orth = np.triu(np.abs(gram) * np.sqrt(np.outer(norms, norms)), k=1)
+    return orth, float(np.max(np.abs(norms - 1.0) * norms))
 
 
 # --- construction and axioms -------------------------------------------------
@@ -143,6 +154,30 @@ def test_qubit_defects_brute_force_and_closed_form():
     assert report.idempotency_defect > 1e-6
 
 
+def test_pm_report_rejects_a_frame_that_is_not_shift_covariant():
+    # orthonormal, so a valid POVM, but its Gram matrix is not circulant
+    clock = build_clock(16, 0.5)
+    rng = np.random.default_rng(121)
+    frame = np.linalg.qr(rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)))[0]
+    povm = TimePOVM(frame=frame, times=clock.times, deltaT=clock.deltaT, sigma=clock.sigma)
+    assert povm.completeness_residual() < 1e-12
+    with pytest.raises(InvalidInputError, match="not covariant under the clock shift"):
+        pm_violation_report(povm)
+
+
+def test_pm_report_of_kernel_route_frame_matches_the_dense_gram():
+    # the kernel route mixes the degenerate plane waves by an arbitrary unitary
+    _, _, ext, sub = qubit_setup()
+    povm = build_time_povm(solve_constraint_kernel(ext))
+    report = pm_violation_report(povm)
+    orth, idem = dense_gram_defects(povm.frame)
+    assert report.orthogonality_defect == pytest.approx(orth.max(), rel=1e-12)
+    assert report.idempotency_defect == pytest.approx(idem, rel=1e-12)
+    spectral = pm_violation_report(build_time_povm(sub))
+    assert report.orthogonality_defect == pytest.approx(spectral.orthogonality_defect,
+                                                        rel=1e-12)
+
+
 def test_control_case_is_a_projector_measure():
     clock = build_clock(16, 0.5)
     report = pm_violation_report(projective_clock_povm(clock))
@@ -156,7 +191,8 @@ def test_gram_single_pair_constant_modulus():
     clock = build_clock(16, 0.5)
     system = build_system_space(np.zeros((1, 1)))
     ext = build_extended(system, clock)
-    gram = gram_of_restricted_time_states(solve_constraint_spectral(ext))
+    W = build_time_povm(solve_constraint_spectral(ext)).frame
+    gram = W @ W.conj().T
     assert np.max(np.abs(np.abs(gram) - 1.0 / clock.M)) < 1e-13
 
 
@@ -172,7 +208,8 @@ def test_gram_control_case_is_identity():
 
 def test_gram_qubit_has_offdiagonal_weight():
     _, _, _, sub = qubit_setup()
-    gram = gram_of_restricted_time_states(sub)
+    W = build_time_povm(sub).frame
+    gram = W @ W.conj().T
     eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() > -1e-12  # positive semidefinite
     assert abs(gram[0, 1]) > 1e-6
@@ -429,6 +466,32 @@ def test_pm_report_matches_brute_force(setup):
     assert m < mp
     attained = np.linalg.svd(povm.effects[m] @ povm.effects[mp], compute_uv=False)[0]
     assert attained == pytest.approx(orth_ref, rel=1e-12)
+
+
+@st.composite
+def wide_plane_wave_setups(draw):
+    """1 to 8 distinct integer frequencies on even grids up to M = 1024, both
+    signs; most grids have at most 64 bins, the rest 128 to 1024."""
+    if draw(st.integers(0, 9)):
+        M = 2 * draw(st.integers(4, 32))
+    else:
+        M = draw(st.sampled_from((128, 256, 512, 1024)))
+    ks = draw(st.lists(st.integers(-M // 2 + 1, M // 2 - 1),
+                       min_size=1, max_size=min(8, M - 1), unique=True))
+    sigma = draw(st.sampled_from((1, -1)))
+    T0 = draw(st.floats(-50.0, 50.0))
+    return M, ks, sigma, T0
+
+
+@PROPERTY_SETTINGS
+@given(wide_plane_wave_setups())
+def test_pm_report_matches_the_dense_gram(setup):
+    _, povm = plane_wave_povm(*setup)
+    report = pm_violation_report(povm)
+    orth, idem = dense_gram_defects(povm.frame)
+    assert report.orthogonality_defect == pytest.approx(orth.max(), rel=1e-12)
+    assert report.idempotency_defect == pytest.approx(idem, rel=1e-12)
+    assert orth[report.worst_pair] == pytest.approx(orth.max(), rel=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -155,18 +155,34 @@ def test_cli_missing_config_file(tmp_path):
     assert code == 2
 
 
-def test_cli_numerical_failure_exit_code(tmp_path):
-    cfg_path = tmp_path / "stiff.cfg"
-    cfg_path.write_text("""
+STIFF = """
 scenario = stiff
 suites = classical-equivalence
 system.kind = oscillator
 system.omega = 100.0
 classical.dt = 0.1
 classical.t_end = 1.0
-""")
-    code = main(["classical-equivalence", "--config", str(cfg_path)])
+"""
+# pi/deltaT is finite, but the dense S_op overflows and eigh cannot converge
+FINEST_GRID = """
+scenario = finest_grid
+system.kind = qubit
+clock.deltaT = 2e-308
+"""
+
+
+@pytest.mark.parametrize("command, text", [
+    ("classical-equivalence", STIFF),
+    ("quantum-equivalence", FINEST_GRID),
+    ("constraint-solve", FINEST_GRID),
+], ids=["stiff-oscillator", "finest-grid-quantum", "finest-grid-constraint"])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, command, text):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(text)
+    code = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
     assert code == 3
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("dt, t_end, steps", [
@@ -194,6 +210,14 @@ def test_cli_rejects_a_classical_run_past_the_step_budget(tmp_path, monkeypatch,
     assert "Traceback" not in err
     assert elapsed < 5.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.cfg"]
+
+
+# E theta overflows for the sampled evolution parameters |theta| > 1.8
+OVERFLOWING_PHASE = """
+scenario = overflowing_phase
+system.kind = explicit-matrix
+system.energies = 1e308, 0
+"""
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -229,8 +253,10 @@ scenario = huge_system
 system.kind = random-hermitian
 system.n_levels = 1000000000
 """, "exceeds the dense-solver budget"),
+    ("quantum-equivalence", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
+    ("constraint-solve", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
 ], ids=["oversized", "colliding-frequencies", "empty-subspace", "tiny-deltaT",
-        "huge-n-levels"])
+        "huge-n-levels", "overflowing-phase-quantum", "overflowing-phase-constraint"])
 def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     cfg_path = tmp_path / "input.cfg"
     cfg_path.write_text(text)
