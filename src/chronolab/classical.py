@@ -45,10 +45,10 @@ MIDPOINT_MAX_ITER = 50
 # Most grid steps one classical run may take; the bundled runs take 6,283.
 MAX_CLASSICAL_STEPS = 10 ** 6
 
-_GRADIENT_PROBE_SEED = 172
-_GRADIENT_PROBE_POINTS = 4
-_GRADIENT_PROBE_STEP = 1e-5
-_GRADIENT_PROBE_RTOL = 1e-6
+_VELOCITY_PROBE_SEED = 172
+_VELOCITY_PROBE_POINTS = 4
+_VELOCITY_PROBE_STEP = 1e-5
+_VELOCITY_PROBE_RTOL = 1e-6
 
 
 def _as_finite_vector(x, name):
@@ -109,58 +109,41 @@ class ExtendedPhaseState:
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Autonomous system: energy H(q, p) and its gradient, plus a label.
+    """Autonomous system: energy H(q, p), its vector field and a label.
 
-    The gradient is probe-checked against central differences of the energy
-    at construction; a mismatch raises InvalidInputError.  `velocity` is the
-    optional Hamiltonian vector field (q, p) -> (dH/dp, -dH/dq) of a one-dof
-    system on Python floats, probe-checked against `gradient`; the built-in
-    systems set it, and the midpoint loop steps floats through it instead
-    of arrays through `gradient`.
+    `energy` takes length-n float arrays.  `velocity` is the Hamiltonian
+    vector field (q, p) -> (dH/dp, -dH/dq): on Python floats when n == 1,
+    on length-n float arrays otherwise; the midpoint loop steps the same
+    kind.  The field is probe-checked against central differences of the
+    energy at construction; a mismatch raises InvalidInputError.
     """
 
     n: int
     energy: Callable[[np.ndarray, np.ndarray], float]
-    gradient: Callable[[np.ndarray, np.ndarray], tuple]
+    velocity: Callable
     label: str
-    velocity: Callable[[float, float], tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("dimension n must be >= 1")
-        if self.velocity is not None and self.n != 1:
-            raise InvalidInputError("a float velocity field needs a one-dof system")
-        self._probe_gradient()
+        self._probe_velocity()
 
-    def _probe_gradient(self):
-        rng = np.random.default_rng(_GRADIENT_PROBE_SEED)
-        h = _GRADIENT_PROBE_STEP
-        for _ in range(_GRADIENT_PROBE_POINTS):
+    def _probe_velocity(self):
+        rng = np.random.default_rng(_VELOCITY_PROBE_SEED)
+        h = _VELOCITY_PROBE_STEP
+        for _ in range(_VELOCITY_PROBE_POINTS):
             q = rng.normal(size=self.n)
             p = rng.normal(size=self.n)
-            gq, gp = self.gradient(q, p)
-            gq = np.asarray(gq, dtype=float)
-            gp = np.asarray(gp, dtype=float)
-            if self.velocity is not None:
-                vq, vp = self.velocity(float(q[0]), float(p[0]))
-                if (abs(vq - gp[0]) > _GRADIENT_PROBE_RTOL * max(1.0, abs(gp[0]))
-                        or abs(vp + gq[0]) > _GRADIENT_PROBE_RTOL * max(1.0, abs(gq[0]))):
-                    raise InvalidInputError(
-                        f"velocity of '{self.label}' disagrees with its gradient "
-                        f"({(vq, vp)} vs {(gp[0], -gq[0])})"
-                    )
-            for i in range(self.n):
-                for arr, grad in ((q, gq), (p, gp)):
-                    shift = np.zeros(self.n)
-                    shift[i] = h
-                    if arr is q:
-                        fd = (self.energy(q + shift, p) - self.energy(q - shift, p)) / (2 * h)
-                    else:
-                        fd = (self.energy(q, p + shift) - self.energy(q, p - shift)) / (2 * h)
-                    if abs(fd - grad[i]) > _GRADIENT_PROBE_RTOL * max(1.0, abs(fd)):
+            field = self.velocity(float(q[0]), float(p[0])) if self.n == 1 else self.velocity(q, p)
+            vq, vp = (np.asarray(v, dtype=float).reshape(self.n) for v in field)
+            for i, shift in enumerate(h * np.eye(self.n)):
+                dq = (self.energy(q, p + shift) - self.energy(q, p - shift)) / (2 * h)
+                dp = -(self.energy(q + shift, p) - self.energy(q - shift, p)) / (2 * h)
+                for name, v, fd in (("dq", vq[i], dq), ("dp", vp[i], dp)):
+                    if abs(fd - v) > _VELOCITY_PROBE_RTOL * max(1.0, abs(fd)):
                         raise InvalidInputError(
-                            f"gradient of '{self.label}' disagrees with finite "
-                            f"differences (coordinate {i}: {grad[i]} vs {fd})"
+                            f"velocity of '{self.label}' disagrees with finite differences "
+                            f"of its energy ({name}_{i}/dt: {v} vs {fd})"
                         )
 
     def extended(self) -> "ExtendedSystem":
@@ -191,13 +174,10 @@ def harmonic_oscillator(omega: float = 1.0) -> HamiltonianSystem:
     def energy(q, p):
         return 0.5 * float(p[0]) ** 2 + 0.5 * w2 * float(q[0]) ** 2
 
-    def gradient(q, p):
-        return np.array([w2 * q[0]]), np.array([p[0]])
-
     def velocity(q, p):
         return p, -w2 * q
 
-    return HamiltonianSystem(1, energy, gradient, f"harmonic(omega={omega})", velocity)
+    return HamiltonianSystem(1, energy, velocity, f"harmonic(omega={omega})")
 
 
 def free_particle() -> HamiltonianSystem:
@@ -206,13 +186,10 @@ def free_particle() -> HamiltonianSystem:
     def energy(q, p):
         return 0.5 * float(p[0]) ** 2
 
-    def gradient(q, p):
-        return np.array([0.0]), np.array([p[0]])
-
     def velocity(q, p):
         return p, 0.0
 
-    return HamiltonianSystem(1, energy, gradient, "free-particle", velocity)
+    return HamiltonianSystem(1, energy, velocity, "free-particle")
 
 
 def quartic_oscillator() -> HamiltonianSystem:
@@ -221,53 +198,56 @@ def quartic_oscillator() -> HamiltonianSystem:
     def energy(q, p):
         return 0.5 * float(p[0]) ** 2 + 0.25 * float(q[0]) ** 4
 
-    def gradient(q, p):
-        return np.array([q[0] ** 3]), np.array([p[0]])
-
     def velocity(q, p):
         return p, -q * q * q
 
-    return HamiltonianSystem(1, energy, gradient, "quartic", velocity)
+    return HamiltonianSystem(1, energy, velocity, "quartic")
 
 
 def extend_state(system: HamiltonianSystem, x: PhaseState, t0: float) -> ExtendedPhaseState:
-    """Lift (q, p) onto the constraint surface: T = t0 and S = -H(q, p)."""
+    """Lift (q, p) onto the constraint surface: T = t0 and S = -H(q, p).
+
+    An energy that overflows the float range raises InvalidInputError.
+    """
     if x.n != system.n:
         raise InvalidInputError(
             f"state dimension {x.n} does not match system dimension {system.n}"
         )
-    return ExtendedPhaseState(base=x, T=float(t0), S=-float(system.energy(x.q, x.p)))
+    try:
+        energy = float(system.energy(x.q, x.p))
+    except OverflowError as exc:
+        raise InvalidInputError(f"energy of '{system.label}' overflows the float range") from exc
+    return ExtendedPhaseState(base=x, T=float(t0), S=-energy)
 
 
 def coordinate(name: str, index: int = 0):
-    """Coordinate function on the extended phase space, for bracket evaluation.
+    """Coordinate function of the flat extended point, for bracket evaluation.
 
-    `name` is one of 'q', 'p', 'T', 'S'; `index` selects the component for
-    'q' and 'p'.
+    The point is the read-only row [q_1..q_n, p_1..p_n, T, S].  `name` is
+    one of 'q', 'p', 'T', 'S'; `index` selects the component for 'q' and
+    'p', and one outside [0, n) raises InvalidInputError on evaluation.
     """
-    if name == "q":
-        return lambda y: float(y.base.q[index])
-    if name == "p":
-        return lambda y: float(y.base.p[index])
     if name == "T":
-        return lambda y: y.T
+        return lambda x: x[-2]
     if name == "S":
-        return lambda y: y.S
-    raise InvalidInputError(f"unknown coordinate {name!r}")
+        return lambda x: x[-1]
+    if name not in ("q", "p"):
+        raise InvalidInputError(f"unknown coordinate {name!r}")
+    block = 0 if name == "q" else 1
+
+    def component(x):
+        n = (x.size - 2) // 2
+        if not 0 <= index < n:
+            raise InvalidInputError(f"{name}_{index} is not a coordinate of a {n}-dof point")
+        return x[block * n + index]
+
+    return component
 
 
-def _trusted(cls, **fields):
-    """Instance of a frozen state class whose fields are already validated."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
+def _probe_points(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows x + h_i e_i for every coordinate i, then x - h_i e_i.
 
-
-def _probe_states(x: np.ndarray, h: np.ndarray, n: int) -> list:
-    """States at x + h_i e_i for every coordinate i, then at x - h_i e_i.
-
-    All probes are rows of one read-only array, checked for finiteness
-    once; each state views its row instead of re-validating a copy.
+    The rows form one read-only array, checked for finiteness once.
     """
     dim = x.size
     probes = np.tile(x, (2 * dim, 1))
@@ -276,17 +256,13 @@ def _probe_states(x: np.ndarray, h: np.ndarray, n: int) -> list:
         probes[diag, diag] += h
         probes[dim + diag, diag] -= h
     if not np.all(np.isfinite(probes)):
-        raise InvalidInputError("bracket probe state contains non-finite entries")
+        raise InvalidInputError("bracket probe point contains non-finite entries")
     probes.setflags(write=False)
-    return [
-        _trusted(ExtendedPhaseState,
-                 base=_trusted(PhaseState, q=row[:n], p=row[n:2 * n]), T=T, S=S)
-        for row, T, S in zip(probes, probes[:, 2 * n].tolist(), probes[:, 2 * n + 1].tolist())
-    ]
+    return probes
 
 
-def _central_differences(fun, states: list, h: np.ndarray) -> np.ndarray:
-    values = np.array([fun(state) for state in states], dtype=float)
+def _central_differences(fun, probes: np.ndarray, h: np.ndarray) -> np.ndarray:
+    values = np.array([fun(row) for row in probes], dtype=float)
     grad = (values[:h.size] - values[h.size:]) / (2 * h)
     if not np.all(np.isfinite(grad)):
         raise NumericalFailureError("non-finite derivative in bracket evaluation")
@@ -296,10 +272,10 @@ def _central_differences(fun, states: list, h: np.ndarray) -> np.ndarray:
 def poisson_bracket(f, g, y: ExtendedPhaseState, rel_step: float = 1e-5):
     """{f, g} at y over all n+1 canonical pairs, including (T, S).
 
-    f and g are functions of an extended state, giving a float, or
-    equal-length sequences of them, giving the float array {f_k, g_k}.
-    Partial derivatives are central differences with step
-    rel_step * max(1, |coordinate|) on one set of 2(2n+2) probe states,
+    f and g are functions of the flat point [q_1..q_n, p_1..p_n, T, S],
+    giving a float, or equal-length sequences of them, giving the float
+    array {f_k, g_k}.  Partial derivatives are central differences with
+    step rel_step * max(1, |coordinate|) on one set of 2(2n+2) probe rows,
     where each distinct function is read once.  A probe that leaves the
     finite range raises InvalidInputError.
     """
@@ -309,16 +285,17 @@ def poisson_bracket(f, g, y: ExtendedPhaseState, rel_step: float = 1e-5):
         raise InvalidInputError("f and g must be two functions or two equal-length, "
                                 "non-empty sequences of functions")
     n = y.n
-    x = np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
+    x = np.concatenate([y.base.q, y.base.p, [y.T, y.S]])
     h = rel_step * np.maximum(1.0, np.abs(x))
-    states = _probe_states(x, h, n)
-    split = {}  # id(function) -> its gradient as (d/dq, d/dp)
+    probes = _probe_points(x, h)
+    # T plays q_{n+1} and S plays p_{n+1}
+    q_index = np.r_[0:n, 2 * n]
+    p_index = np.r_[n:2 * n, 2 * n + 1]
+    split = {}  # id(function) -> its partial derivatives as (d/dq, d/dp)
     for fun in itertools.chain.from_iterable(zip(fs, gs)):
         if id(fun) not in split:
-            d = _central_differences(fun, states, h)
-            # layout: [q_1..q_n, p_1..p_n, T, S]; T plays q_{n+1}, S plays p_{n+1}
-            split[id(fun)] = (np.concatenate([d[:n], [d[2 * n]]]),
-                              np.concatenate([d[n:2 * n], [d[2 * n + 1]]]))
+            d = _central_differences(fun, probes, h)
+            split[id(fun)] = (d[q_index], d[p_index])
     values = []
     for fk, gk in zip(fs, gs):
         (dfq, dfp), (dgq, dgp) = split[id(fk)], split[id(gk)]
@@ -412,38 +389,42 @@ def _midpoint(velocity, q, p, nsteps, dt, finite, sup):
     third step on, the fixed-point iteration starts at the quadratic
     extrapolation through the last three grid points instead of at (q, p),
     which saves about two velocity calls per step (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, VIII.6).  Returns the lists of q and
-    of p on the nsteps + 1 grid points.
+    Geometric Numerical Integration, VIII.6).  A float field that raises
+    OverflowError diverges like a non-finite state.  Returns the lists of q
+    and of p on the nsteps + 1 grid points.
     """
     qs = [q]
     ps = [p]
-    for step in range(nsteps):
-        if step >= 2:
-            qa = 3 * (q - qs[-2]) + qs[-3]
-            pa = 3 * (p - ps[-2]) + ps[-3]
-        else:
-            qa = q
-            pa = p
-        for _ in range(MIDPOINT_MAX_ITER):
-            fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
-            qn = q + dt * fq
-            pn = p + dt * fp
-            if not (finite(qn) and finite(pn)):
-                raise DivergenceError(f"non-finite state at step {step}", step=step)
-            delta = max(sup(qn - qa), sup(pn - pa))
-            qa = qn
-            pa = pn
-            if delta <= MIDPOINT_TOL:
-                break
-        else:
-            raise NumericalFailureError(
-                f"implicit-midpoint iteration stalled at step {step} "
-                f"(max {MIDPOINT_MAX_ITER} iterations)"
-            )
-        q = qa
-        p = pa
-        qs.append(q)
-        ps.append(p)
+    try:
+        for step in range(nsteps):
+            if step >= 2:
+                qa = 3 * (q - qs[-2]) + qs[-3]
+                pa = 3 * (p - ps[-2]) + ps[-3]
+            else:
+                qa = q
+                pa = p
+            for _ in range(MIDPOINT_MAX_ITER):
+                fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
+                qn = q + dt * fq
+                pn = p + dt * fp
+                if not (finite(qn) and finite(pn)):
+                    raise DivergenceError(f"non-finite state at step {step}", step=step)
+                delta = max(sup(qn - qa), sup(pn - pa))
+                qa = qn
+                pa = pn
+                if delta <= MIDPOINT_TOL:
+                    break
+            else:
+                raise NumericalFailureError(
+                    f"implicit-midpoint iteration stalled at step {step} "
+                    f"(max {MIDPOINT_MAX_ITER} iterations)"
+                )
+            q = qa
+            p = pa
+            qs.append(q)
+            ps.append(p)
+    except OverflowError as exc:
+        raise DivergenceError(f"float overflow at step {step}", step=step) from exc
     return qs, ps
 
 
@@ -457,15 +438,11 @@ def _sup(block):
 
 def _run(system, q0, p0, nsteps, dt):
     """q and p as (nsteps + 1, n) arrays along the implicit-midpoint flow."""
-    if system.velocity is not None:
+    if system.n == 1:
         qs, ps = _midpoint(system.velocity, float(q0[0]), float(p0[0]), nsteps, dt,
                            math.isfinite, abs)
     else:
-        def velocity(q, p):
-            gq, gp = system.gradient(q, p)
-            return np.asarray(gp, dtype=float), -np.asarray(gq, dtype=float)
-
-        qs, ps = _midpoint(velocity, q0, p0, nsteps, dt, _all_finite, _sup)
+        qs, ps = _midpoint(system.velocity, q0, p0, nsteps, dt, _all_finite, _sup)
     shape = (nsteps + 1, system.n)
     return np.array(qs, dtype=float).reshape(shape), np.array(ps, dtype=float).reshape(shape)
 

@@ -492,8 +492,10 @@ def gaussian_clock_state(clock: ClockSpace, center: float | None = None,
         width = span / 20
     if not (width > 0 and np.isfinite(width)):
         raise InvalidInputError("width must be positive and finite")
-    phi = np.exp(-((clock.times - center) ** 2) / (4 * width ** 2)
-                 + 1j * momentum * clock.times)
+    spread = 4 * width ** 2
+    if not spread > 0:
+        raise InvalidInputError(f"width {width!r} is too small: 4*width**2 underflows to 0")
+    phi = np.exp(-((clock.times - center) ** 2) / spread + 1j * momentum * clock.times)
     return unit(phi)
 
 

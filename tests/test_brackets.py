@@ -50,14 +50,15 @@ def test_qp_pair_is_canonical():
     assert abs(poisson_bracket(coordinate("q"), coordinate("p"), y) - 1.0) < 1e-8
 
 
+def extended_hamiltonian(system):
+    """H_ex = H(q, p) + S as a function of the flat point [q, p, T, S]."""
+    n = system.n
+    return lambda x: float(system.energy(x[:n], x[n:2 * n])) + x[-1]
+
+
 def test_antisymmetry_and_self_bracket():
     rng = np.random.default_rng(5)
-    system = quartic_oscillator()
-    ext = system.extended()
-
-    def h_ex(y):
-        return ext.energy(y)
-
+    h_ex = extended_hamiltonian(quartic_oscillator())
     for _ in range(10):
         y = random_point(rng)
         ab = poisson_bracket(h_ex, coordinate("T"), y)
@@ -70,24 +71,13 @@ def test_time_generates_unit_rate():
     # {T, H_ex} = dH_ex/dS = 1: the time coordinate advances at unit rate.
     rng = np.random.default_rng(11)
     for system in SYSTEMS:
-        ext = system.extended()
-
-        def h_ex(y):
-            return ext.energy(y)
-
+        h_ex = extended_hamiltonian(system)
         for _ in range(10):
             y = random_point(rng)
             assert abs(poisson_bracket(coordinate("T"), h_ex, y) - 1.0) < 1e-6
 
 
 def test_multidim_bracket_pairs():
-    def energy(q, p):
-        return 0.5 * float(p @ p) + 0.5 * float(q @ q)
-
-    def gradient(q, p):
-        return q.copy(), p.copy()
-
-    HamiltonianSystem(2, energy, gradient, "iso-2d")
     rng = np.random.default_rng(8)
     y = random_point(rng, n=2)
     assert abs(poisson_bracket(coordinate("q", 0), coordinate("p", 0), y) - 1.0) < 1e-8
@@ -98,24 +88,19 @@ def test_multidim_bracket_pairs():
 def test_non_finite_derivative_raises():
     y = ExtendedPhaseState(base=PhaseState(q=[1.0], p=[1.0]), T=0.0, S=0.0)
 
-    def exploding(state):
-        return float(np.inf) if state.T > 0 else 0.0
+    def exploding(x):
+        return float(np.inf) if x[-2] > 0 else 0.0
 
     with pytest.raises(NumericalFailureError):
         poisson_bracket(exploding, coordinate("S"), y)
 
 
 def reference_bracket(f, g, y, rel_step=1e-5):
-    """The per-probe bracket: one validated state per shifted copy of y."""
+    """The per-probe bracket: one checked copy of the flat point per probe."""
     n = y.n
+    x = np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
 
-    def unflatten(vec):
-        return ExtendedPhaseState(
-            base=PhaseState(q=vec[:n], p=vec[n:2 * n]), T=vec[2 * n], S=vec[2 * n + 1]
-        )
-
-    def gradient(fun):
-        x = np.concatenate([y.base.q, y.base.p, [y.T], [y.S]])
+    def partials(fun):
         grad = np.empty(x.size)
         for i in range(x.size):
             h = rel_step * max(1.0, abs(x[i]))
@@ -123,13 +108,15 @@ def reference_bracket(f, g, y, rel_step=1e-5):
             minus = x.copy()
             plus[i] += h
             minus[i] -= h
-            grad[i] = (fun(unflatten(plus)) - fun(unflatten(minus))) / (2 * h)
+            if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+                raise InvalidInputError("bracket probe point contains non-finite entries")
+            grad[i] = (fun(plus) - fun(minus)) / (2 * h)
         if not np.all(np.isfinite(grad)):
             raise NumericalFailureError("non-finite derivative in bracket evaluation")
         return grad
 
-    df = gradient(f)
-    dg = gradient(g)
+    df = partials(f)
+    dg = partials(g)
     dfq = np.concatenate([df[:n], [df[2 * n]]])
     dfp = np.concatenate([df[n:2 * n], [df[2 * n + 1]]])
     dgq = np.concatenate([dg[:n], [dg[2 * n]]])
@@ -141,10 +128,10 @@ def anharmonic_system(n):
     def energy(q, p):
         return 0.5 * float(p @ p) + 0.5 * float(q @ q) + 0.25 * float(q @ q) ** 2
 
-    def gradient(q, p):
-        return q * (1.0 + float(q @ q)), p.copy()
+    def velocity(q, p):
+        return p.copy(), -q * (1.0 + float(q @ q))
 
-    return HamiltonianSystem(n, energy, gradient, f"anharmonic-{n}d")
+    return HamiltonianSystem(n, energy, velocity, f"anharmonic-{n}d")
 
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, max_examples=150)
@@ -168,8 +155,7 @@ def draw_point_and_functions(draw):
     def function():
         name = draw(names)
         if name == "H_ex":
-            ext = system.extended()
-            return lambda state: ext.energy(state)
+            return extended_hamiltonian(system)
         return coordinate(name, draw(st.integers(0, n - 1)))
 
     return y, function
@@ -213,9 +199,9 @@ def test_sequence_form_matches_scalar_calls_bit_for_bit(case):
 def test_each_function_is_read_once_per_call():
     seen = []
 
-    def record(state):
-        seen.append(state)
-        return state.T * state.S + float(state.base.q[1])
+    def record(x):
+        seen.append(x)
+        return x[-2] * x[-1] + x[1]
 
     y = ExtendedPhaseState(base=PhaseState(q=[0.5, -1.0], p=[2.0, 0.0]), T=1.0, S=-2.0)
     dim = 2 * y.n + 2
@@ -245,18 +231,27 @@ def test_scalar_form_returns_a_python_float():
 def test_probe_states_are_read_only():
     seen = []
 
-    def record(state):
-        seen.append(state)
-        return state.T
+    def record(x):
+        seen.append(x)
+        return x[-2]
 
     y = ExtendedPhaseState(base=PhaseState(q=[0.5, -1.0], p=[2.0, 0.0]), T=1.0, S=-2.0)
     poisson_bracket(record, coordinate("S"), y)
     assert len(seen) == 2 * (2 * y.n + 2)
-    for state in seen:
-        for block in (state.base.q, state.base.p):
-            assert not block.flags.writeable
-            with pytest.raises(ValueError):
-                block[0] = 0.0
+    for x in seen:
+        assert x.shape == (2 * y.n + 2,) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+def test_out_of_range_coordinate_raises_invalid_input():
+    y = ExtendedPhaseState(base=PhaseState(q=[0.5], p=[2.0]), T=1.0, S=-2.0)
+    for name in ("q", "p"):
+        for index in (1, -1):
+            with pytest.raises(InvalidInputError):
+                poisson_bracket(coordinate(name, index), coordinate("T"), y)
+    with pytest.raises(InvalidInputError):
+        coordinate("x")
 
 
 @pytest.mark.parametrize("q, rel_step", [(1.7e308, 0.1), (np.finfo(float).max, 1e-5)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     ExtendedPhaseState,
@@ -85,38 +87,61 @@ def test_extend_state_is_exact_for_many_points():
             assert ext.energy(y) == 0.0
 
 
-def test_gradient_probe_rejects_wrong_gradient():
+def test_velocity_probe_rejects_a_field_that_disagrees_with_the_energy():
     def energy(q, p):
         return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
 
-    def bad_gradient(q, p):
-        return np.array([2.0 * q[0]]), np.array([p[0]])
-
-    with pytest.raises(InvalidInputError):
-        HamiltonianSystem(1, energy, bad_gradient, "broken")
-
-
-def test_velocity_probe_rejects_a_field_that_disagrees_with_the_gradient():
-    def energy(q, p):
-        return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
-
-    def gradient(q, p):
-        return np.array([q[0]]), np.array([p[0]])
-
-    HamiltonianSystem(1, energy, gradient, "harmonic", lambda q, p: (p, -q))
-    with pytest.raises(InvalidInputError, match="velocity"):
-        HamiltonianSystem(1, energy, gradient, "sign-flipped", lambda q, p: (p, q))
-    with pytest.raises(InvalidInputError, match="one-dof"):
-        HamiltonianSystem(2, lambda q, p: 0.0, lambda q, p: (0 * q, 0 * p), "flat",
-                          lambda q, p: (0.0, 0.0))
+    HamiltonianSystem(1, energy, lambda q, p: (p, -q), "harmonic")
+    # a sign flip, a wrong factor, and the gradient (dH/dq, dH/dp) in place of the field
+    for bad in (lambda q, p: (p, q), lambda q, p: (p, -2.0 * q), lambda q, p: (q, p)):
+        with pytest.raises(InvalidInputError, match="velocity"):
+            HamiltonianSystem(1, energy, bad, "broken")
 
 
-def test_gradient_probe_accepts_two_dof_system():
+def test_velocity_probe_accepts_two_dof_system():
     def energy(q, p):
         return 0.5 * float(p @ p) + 0.5 * float(q @ q) + float(q[0] * q[1])
 
-    def gradient(q, p):
-        return np.array([q[0] + q[1], q[1] + q[0]]), p.copy()
+    def velocity(q, p):
+        return p.copy(), -np.array([q[0] + q[1], q[1] + q[0]])
 
-    system = HamiltonianSystem(2, energy, gradient, "coupled")
+    system = HamiltonianSystem(2, energy, velocity, "coupled")
     assert system.n == 2
+
+
+@st.composite
+def quadratic_forms(draw):
+    """H = z^T A z / 2 on z = [q, p] with A symmetric and its diagonal in [1, 3],
+    so no row of A, and no component of the field, vanishes identically."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    dim = 2 * n
+    off = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=dim * dim, max_size=dim * dim)))
+    diag = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=dim, max_size=dim)))
+    off = off.reshape(dim, dim)
+    A = np.triu(off, 1) + np.triu(off, 1).T + np.diag(diag)
+    return n, A, draw(st.integers(0, dim - 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(quadratic_forms())
+def test_velocity_probe_on_quadratic_forms(case):
+    n, A, k = case
+
+    def energy(q, p):
+        z = np.concatenate([q, p])
+        return 0.5 * float(z @ A @ z)
+
+    def scaled_field(factor):
+        """The exact field (dH/dp, -dH/dq) with component k times `factor`."""
+        def velocity(q, p):
+            grad = A @ np.concatenate([np.atleast_1d(q), np.atleast_1d(p)])
+            v = np.concatenate([grad[n:], -grad[:n]])
+            v[k] *= factor
+            return (float(v[0]), float(v[1])) if n == 1 else (v[:n], v[n:])
+
+        return velocity
+
+    assert HamiltonianSystem(n, energy, scaled_field(1.0), "quadratic").n == n
+    for factor in (-1.0, 1.0 + 1e-3):
+        with pytest.raises(InvalidInputError, match="velocity"):
+            HamiltonianSystem(n, energy, scaled_field(factor), "quadratic")

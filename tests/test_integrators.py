@@ -76,22 +76,25 @@ def test_extended_channels_are_exact():
     assert max(abs(v) for v in h_ex) < 1e-8
 
 
-def test_generic_path_matches_kernel_path():
-    # The same physics through the generic array route: a harmonic system
-    # without a float velocity field must land on the same trajectory.
+def test_array_path_matches_float_path_per_dof():
+    # Two uncoupled oscillators stepped as arrays: each degree of freedom
+    # must land on its own one-dof trajectory, stepped as floats.
+    omegas = np.array([1.0, 1.7])
+    w2 = omegas * omegas
+
     def energy(q, p):
-        return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
+        return 0.5 * float(p @ p) + 0.5 * float(w2 @ (q * q))
 
-    def gradient(q, p):
-        return np.array([q[0]]), np.array([p[0]])
+    def velocity(q, p):
+        return p.copy(), -w2 * q
 
-    generic = HamiltonianSystem(1, energy, gradient, "harmonic-generic")
-    builtin = harmonic_oscillator()
-    x0 = PhaseState(q=[0.3], p=[-1.1])
-    a = integrate_original(builtin, x0, 1.0, 1e-3)
-    b = integrate_original(generic, x0, 1.0, 1e-3)
-    assert np.max(np.abs(a.qs - b.qs)) < 1e-13
-    assert np.max(np.abs(a.ps - b.ps)) < 1e-13
+    pair = integrate_original(HamiltonianSystem(2, energy, velocity, "two-oscillators"),
+                              PhaseState(q=[0.3, 0.9], p=[-1.1, -0.4]), 1.0, 1e-3)
+    for k, (omega, q0, p0) in enumerate(zip(omegas, (0.3, 0.9), (-1.1, -0.4))):
+        single = integrate_original(harmonic_oscillator(omega), PhaseState(q=[q0], p=[p0]),
+                                    1.0, 1e-3)
+        assert np.max(np.abs(pair.qs[:, k] - single.qs[:, 0])) < 1e-13
+        assert np.max(np.abs(pair.ps[:, k] - single.ps[:, 0])) < 1e-13
 
 
 def reference_midpoint(kind, omega, z0, nsteps, dt, extended, tol=1e-13, max_iter=50,
@@ -169,7 +172,7 @@ def counting_velocity(system):
         calls.append(None)
         return system.velocity(q, p)
 
-    counted = HamiltonianSystem(1, system.energy, system.gradient, system.label, velocity)
+    counted = HamiltonianSystem(1, system.energy, velocity, system.label)
     calls.clear()  # drop the construction-time probe calls
     return counted, calls
 
@@ -192,14 +195,16 @@ def test_divergence_reports_step_index():
     def energy(q, p):
         return 1e4 * (float(q[0]) ** 2 + float(p[0]) ** 2) ** 2
 
-    def gradient(q, p):
-        r = 4e4 * (q[0] ** 2 + p[0] ** 2)
-        return np.array([r * q[0]]), np.array([r * p[0]])
+    def velocity(q, p):
+        # float `**` raises OverflowError where float products give inf
+        r = 4e4 * (q ** 2 + p ** 2)
+        return r * p, -r * q
 
-    system = HamiltonianSystem(1, energy, gradient, "explosive")
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+    system = HamiltonianSystem(1, energy, velocity, "explosive")
+    with pytest.raises(DivergenceError) as info:
         integrate_original(system, PhaseState(q=[1.0], p=[1.0]), 10.0, 1.0)
     assert info.value.step >= 0
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_stalled_iteration_raises_numerical_failure():
@@ -292,10 +297,10 @@ def iso_2d():
     def energy(q, p):
         return 0.5 * float(p @ p) + 0.5 * float(q @ q)
 
-    def gradient(q, p):
-        return q.copy(), p.copy()
+    def velocity(q, p):
+        return p.copy(), -q
 
-    return HamiltonianSystem(2, energy, gradient, "iso-2d")
+    return HamiltonianSystem(2, energy, velocity, "iso-2d")
 
 
 def csv_trajectories():

@@ -521,6 +521,7 @@ config_values = st.one_of(
     st.lists(st.floats(-10, 10), max_size=5).map(lambda xs: ", ".join(map(repr, xs))),
     st.sampled_from(SYSTEM_KINDS + SUITE_NAMES + ("true", "false")),
     st.text(max_size=10) | st.sampled_from(("inf", "nan", "")),
+    st.sampled_from(("1e200", "-1e300", "1.7e308", "2e-308", "5e-324")),
 )
 config_edits = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(CONFIG_KEYS), config_values),
@@ -565,6 +566,12 @@ def _bounded(text):
          text=QUBIT.replace("0.0, 3.141592653589793", "0.3, 0.7") + "tolerances.eps_match = 0.01\n")
 @example(command="classical-equivalence", text="scenario = stiff\nsystem.kind = oscillator\n"
          "system.omega = 100.0\nclassical.dt = 0.1\nclassical.t_end = 1.0\n")
+# energies beyond the float range, and a clock packet whose width squares to 0
+@example(command="classical-equivalence",
+         text="scenario = far\nsystem.kind = oscillator\nclassical.q0 = 1e200\n")
+@example(command="classical-equivalence",
+         text="scenario = fast\nsystem.kind = free-particle\nclassical.p0 = 1e200\n")
+@example(command="covariance", text=QUBIT.replace("clock.deltaT = 0.25", "clock.deltaT = 2e-308"))
 def test_fuzzed_config_text_only_yields_documented_exit_codes(command, text):
     assume(_bounded(text))
     with tempfile.TemporaryDirectory() as tmp:
