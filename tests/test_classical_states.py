@@ -87,15 +87,22 @@ def test_extend_state_is_exact_for_many_points():
             assert ext.energy(y) == 0.0
 
 
-def test_velocity_probe_rejects_a_field_that_disagrees_with_the_energy():
-    def energy(q, p):
-        return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
+def _harmonic_energy(q, p):
+    return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
 
-    HamiltonianSystem(1, energy, lambda q, p: (p, -q), "harmonic")
-    # a sign flip, a wrong factor, and the gradient (dH/dq, dH/dp) in place of the field
-    for bad in (lambda q, p: (p, q), lambda q, p: (p, -2.0 * q), lambda q, p: (q, p)):
+
+def test_gradient_probe_rejects_wrong_gradient():
+    """A field whose -dH/dq carries a wrong factor disagrees with the energy."""
+    HamiltonianSystem(1, _harmonic_energy, lambda q, p: (p, -q), "harmonic")
+    with pytest.raises(InvalidInputError, match="velocity"):
+        HamiltonianSystem(1, _harmonic_energy, lambda q, p: (p, -2.0 * q), "broken")
+
+
+def test_velocity_probe_rejects_a_field_that_disagrees_with_the_gradient():
+    """A sign flip, and the gradient (dH/dq, dH/dp) passed in place of the field."""
+    for bad in (lambda q, p: (p, q), lambda q, p: (q, p)):
         with pytest.raises(InvalidInputError, match="velocity"):
-            HamiltonianSystem(1, energy, bad, "broken")
+            HamiltonianSystem(1, _harmonic_energy, bad, "broken")
 
 
 def test_velocity_probe_accepts_two_dof_system():
