@@ -67,8 +67,6 @@ class ClockConfig:
 @dataclass(frozen=True)
 class ToleranceConfig:
     eps_match: float = 0.0  # 0 means "use the default half frequency spacing"
-    state_deviation: float = 1e-9
-    time_residual: float = 1e-10
     constraint_drift: float = 1e-10
 
 
@@ -76,7 +74,6 @@ class ToleranceConfig:
 class ClassicalConfig:
     dt: float = 1e-3
     t_end: float = TWO_PI
-    t0: float = 0.0
     q0: tuple = (1.0,)
     p0: tuple = (0.0,)
 
@@ -157,12 +154,9 @@ _KEYS = {
     "clock.T0": ("clock", "T0", _parse_float),
     "clock.sigma": ("clock", "sigma", _parse_int),
     "tolerances.eps_match": ("tolerances", "eps_match", _parse_float),
-    "tolerances.state_deviation": ("tolerances", "state_deviation", _parse_float),
-    "tolerances.time_residual": ("tolerances", "time_residual", _parse_float),
     "tolerances.constraint_drift": ("tolerances", "constraint_drift", _parse_float),
     "classical.dt": ("classical", "dt", _parse_float),
     "classical.t_end": ("classical", "t_end", _parse_float),
-    "classical.t0": ("classical", "t0", _parse_float),
     "classical.q0": ("classical", "q0", _parse_float_list),
     "classical.p0": ("classical", "p0", _parse_float_list),
     "constraint.expected_dim": ("constraint", "expected_dim", _parse_int),
@@ -201,9 +195,8 @@ def _validate(cfg: ScenarioConfig, problems: list):
         problems.append(f"clock.sigma must be 1 or -1; got {clk.sigma}")
     if tol.eps_match < 0:
         problems.append("tolerances.eps_match must be >= 0")
-    for name in ("state_deviation", "time_residual", "constraint_drift"):
-        if not getattr(tol, name) > 0:
-            problems.append(f"tolerances.{name} must be positive")
+    if not tol.constraint_drift > 0:
+        problems.append("tolerances.constraint_drift must be positive")
     if not cla.dt > 0:
         problems.append("classical.dt must be positive")
     if not cla.t_end > 0:

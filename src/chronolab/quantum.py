@@ -183,18 +183,25 @@ def build_clock(M: int, deltaT: float, T0: float = 0.0, sigma: int = 1) -> Clock
         raise InvalidInputError("T0 must be finite")
     if sigma not in (1, -1):
         raise InvalidInputError(f"sigma must be +1 or -1, got {sigma}")
-    # the grid's extremes, as Python floats (which overflow to inf silently)
+    # the grid's extremes, as Python floats (which overflow to inf silently);
+    # a finite squared span keeps every squared time difference, as in the
+    # clock packet and the time spread, finite too
     top_frequency = math.pi / float(deltaT)
-    last_time = float(T0) + (M - 1) * float(deltaT)
-    if not (math.isfinite(top_frequency) and math.isfinite(last_time)):
+    span = M * float(deltaT)
+    if not (math.isfinite(top_frequency) and math.isfinite(span * span)):
         raise InvalidInputError(
             f"clock grid leaves the float range: largest frequency pi/deltaT = "
-            f"{top_frequency:g} and last time T0 + (M-1) deltaT = {last_time:g} "
+            f"{top_frequency:g} and squared span (M deltaT)**2 = {span * span:g} "
             "must be finite"
         )
 
     m = np.arange(M)
     times = T0 + m * deltaT
+    if not np.all(np.diff(times) > 0):
+        raise InvalidInputError(
+            f"clock times T0 + m deltaT are not strictly increasing in floating "
+            f"point: the step {float(deltaT):g} is lost against T0 = {float(T0):g}"
+        )
     k = np.arange(-M // 2, M // 2)
     frequencies = 2 * np.pi * k / (M * deltaT)
     for arr in (times, frequencies):
@@ -492,9 +499,11 @@ def gaussian_clock_state(clock: ClockSpace, center: float | None = None,
         width = span / 20
     if not (width > 0 and np.isfinite(width)):
         raise InvalidInputError("width must be positive and finite")
-    spread = 4 * width ** 2
+    spread = 4 * float(width) * float(width)  # Python floats overflow to inf silently
     if not spread > 0:
         raise InvalidInputError(f"width {width!r} is too small: 4*width**2 underflows to 0")
+    if not math.isfinite(spread):
+        raise InvalidInputError(f"width {width!r} is too large: 4*width**2 overflows")
     phi = np.exp(-((clock.times - center) ** 2) / spread + 1j * momentum * clock.times)
     return unit(phi)
 

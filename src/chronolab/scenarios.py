@@ -17,6 +17,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,29 @@ class AuditReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-class _Recorder:
-    def __init__(self, prefix: str):
-        self.prefix = prefix
+class _Run:
+    """One scenario run: its check records, its artifacts and its one
+    quantum setup.
+
+    The setup is the configured (system, clock) and what hangs off it: the
+    snapped system, clock and `ExtendedSpace` (`ext`), the spectral
+    physical subspace (`spectral`) and the time POVM (`measure`).  Each is
+    built on first read, by the first suite that needs it, so a
+    classical-only run builds none; every later suite reads the same
+    objects, and they die with the run.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, seed: int):
+        self.cfg = cfg
+        self.seed = seed
+        self.prefix = ""  # check-id prefix of the suite now running
         self.records: list[CheckRecord] = []
         self._seen: set[str] = set()
+        # artifacts, each set by the suite that computes it
+        self.trajectories: dict = {}
+        self.distributions: dict = {}
+        self.pm_violation = None
+        self.defect_sweep: list = []
 
     def add(self, check_id: str, value, threshold, comparator: str, note: str = "") -> bool:
         check_id = f"{self.prefix}.{check_id}"
@@ -112,12 +131,32 @@ class _Recorder:
                                         bool(passed), note))
         return bool(passed)
 
-    def extend(self, other: "_Recorder"):
-        for rec in other.records:
-            if rec.check_id in self._seen:
-                raise InvalidInputError(f"duplicate check id {rec.check_id!r}")
-            self._seen.add(rec.check_id)
-            self.records.append(rec)
+    @cached_property
+    def ext(self) -> quantum.ExtendedSpace:
+        """The configured (system, clock); a snap is recorded by the suite
+        that triggers the build."""
+        cfg = self.cfg
+        clock = quantum.build_clock(cfg.clock.M, cfg.clock.deltaT, cfg.clock.T0,
+                                    cfg.clock.sigma)
+        # the budget needs only the level count, so no n x n matrix is built past it
+        n = (cfg.system.n_levels if cfg.system.kind in ("oscillator", "random-hermitian")
+             else len(cfg.system.energies))
+        quantum.check_dense_budget(n * clock.M)
+        system = quantum.build_system_space(_system_matrix(cfg, self.seed))
+        if cfg.system.snap:
+            system, shifts = constraint.snap_energies(system, clock)
+            self.add("snap_max_shift",
+                     max((abs(new - old) for _, old, new in shifts), default=0.0),
+                     None, "info", note="spectrum snapped onto the clock grid")
+        return quantum.build_extended(system, clock)
+
+    @cached_property
+    def spectral(self) -> constraint.PhysicalSubspace:
+        return _solve_spectral(self.cfg, self.ext)
+
+    @cached_property
+    def measure(self) -> povm.TimePOVM:
+        return povm.build_time_povm(self.spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +174,7 @@ def _classical_system(cfg: ScenarioConfig):
                       "use oscillator, free-particle or quartic")
 
 
-def _system_matrix(cfg: ScenarioConfig, rng) -> np.ndarray:
+def _system_matrix(cfg: ScenarioConfig, seed: int) -> np.ndarray:
     kind = cfg.system.kind
     if kind == "qubit":
         energies = cfg.system.energies or (0.0, math.pi)
@@ -144,13 +183,17 @@ def _system_matrix(cfg: ScenarioConfig, rng) -> np.ndarray:
         return np.diag(np.asarray(energies, dtype=float)).astype(complex)
     if kind == "oscillator":
         n = cfg.system.n_levels
-        energies = cfg.system.omega * (np.arange(n) + 0.5)
+        # an overflowing level is a non-finite entry, which build_system_space rejects
+        with np.errstate(over="ignore"):
+            energies = cfg.system.omega * (np.arange(n) + 0.5)
         return np.diag(energies).astype(complex)
     if kind == "explicit-matrix":
         if not cfg.system.energies:
             raise ConfigError("explicit-matrix needs system.energies")
         return np.diag(np.asarray(cfg.system.energies, dtype=float)).astype(complex)
     if kind == "random-hermitian":
+        # one draw per run, from a stream no suite reads
+        rng = np.random.default_rng((seed, len(SUITE_NAMES)))
         n = cfg.system.n_levels
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return 0.5 * (raw + raw.conj().T)
@@ -158,32 +201,8 @@ def _system_matrix(cfg: ScenarioConfig, rng) -> np.ndarray:
                       "use qubit, oscillator, explicit-matrix or random-hermitian")
 
 
-def _quantum_setup(cfg: ScenarioConfig, rng, rec: _Recorder, spaces: dict):
-    """Build the configured (system, clock) and return its extended space.
-
-    Suites of one run whose snapped system matrix and clock agree get the
-    same ExtendedSpace from `spaces`, so its dense views and `eigh` are
-    built at most once per run.  The key is content, not config: a
-    random-hermitian system is drawn from each suite's own rng.
-    """
-    clock = quantum.build_clock(cfg.clock.M, cfg.clock.deltaT, cfg.clock.T0,
-                                cfg.clock.sigma)
-    # the budget needs only the level count, so no n x n matrix is built past it
-    n = (cfg.system.n_levels if cfg.system.kind in ("oscillator", "random-hermitian")
-         else len(cfg.system.energies))
-    quantum.check_dense_budget(n * clock.M)
-    system = quantum.build_system_space(_system_matrix(cfg, rng))
-    if cfg.system.snap:
-        system, shifts = constraint.snap_energies(system, clock)
-        rec.add("snap_max_shift",
-                max((abs(new - old) for _, old, new in shifts), default=0.0),
-                None, "info", note="spectrum snapped onto the clock grid")
-    key = (system.matrix.tobytes(), system.matrix.shape,
-           clock.M, clock.deltaT, clock.T0, clock.sigma)
-    if key not in spaces:
-        spaces[key] = quantum.build_extended(system, clock)
-    ext = spaces[key]
-    return ext.system, ext.clock, ext
+def _solve_spectral(cfg, ext):
+    return constraint.solve_constraint_spectral(ext, cfg.tolerances.eps_match or None)
 
 
 def _random_unit(rng, size: int) -> np.ndarray:
@@ -193,22 +212,18 @@ def _random_unit(rng, size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_classical_equivalence(cfg: ScenarioConfig, rng, out: dict,
-                                 spaces: dict) -> _Recorder:
-    rec = _Recorder("classical")
-    system = _classical_system(cfg)
-    x0 = classical.PhaseState(q=np.asarray(cfg.classical.q0),
-                              p=np.asarray(cfg.classical.p0))
-    orig = classical.integrate_original(system, x0, cfg.classical.t_end, cfg.classical.dt)
-    y0 = classical.extend_state(system, x0, cfg.classical.t0)
-    ext = classical.integrate_extended(system.extended(), y0,
-                                       cfg.classical.t_end, cfg.classical.dt)
+def _suite_classical_equivalence(run: _Run, rng):
+    system = _classical_system(run.cfg)
+    cla = run.cfg.classical
+    x0 = classical.PhaseState(q=np.asarray(cla.q0), p=np.asarray(cla.p0))
+    orig = classical.integrate_original(system, x0, cla.t_end, cla.dt)
+    y0 = classical.extend_state(system, x0, 0.0)
+    ext = classical.integrate_extended(system.extended(), y0, cla.t_end, cla.dt)
     report = classical.check_equivalence(orig, ext, system)
-    tol = cfg.tolerances
-    rec.add("state_deviation", report.max_state_deviation, tol.state_deviation, "<=")
-    rec.add("time_mismatch", report.max_time_mismatch, tol.time_residual, "<=")
-    rec.add("slope_residual", report.max_slope_residual, tol.time_residual, "<=")
-    rec.add("constraint_drift", report.max_constraint_residual, tol.constraint_drift, "<=")
+    run.add("state_deviation", report.max_state_deviation, 1e-9, "<=")
+    run.add("time_mismatch", report.max_time_mismatch, 1e-10, "<=")
+    run.add("constraint_drift", report.max_constraint_residual,
+            run.cfg.tolerances.constraint_drift, "<=")
 
     # the full bracket table on random extended points, one call per point:
     # {T,S} = 1 and {T,q} = {T,p} = {S,q} = {S,p} = 0
@@ -225,17 +240,15 @@ def _suite_classical_equivalence(cfg: ScenarioConfig, rng, out: dict,
         )
         error = np.abs(classical.poisson_bracket(fs, gs, point) - expected)
         worst = max(worst, float(np.max(error)))
-    rec.add("bracket_table_error", worst, 1e-6, "<=")
-    out["trajectories"] = {"original": orig, "extended": ext}
-    return rec
+    run.add("bracket_table_error", worst, 1e-6, "<=")
+    run.trajectories = {"original": orig, "extended": ext}
 
 
-def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict,
-                               spaces: dict) -> _Recorder:
-    rec = _Recorder("quantum")
-    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
+def _suite_quantum_equivalence(run: _Run, rng):
+    ext = run.ext
+    system, clock = ext.system, ext.clock
 
-    rec.add("kron_spectrum_deviation", quantum.verify_kronecker_spectrum(ext), 1e-9, "<=")
+    run.add("kron_spectrum_deviation", quantum.verify_kronecker_spectrum(ext), 1e-9, "<=")
 
     # 20 product states with 5 thetas each, drawn one state at a time
     n, M = system.n_levels, clock.M
@@ -247,70 +260,62 @@ def _suite_quantum_equivalence(cfg: ScenarioConfig, rng, out: dict,
     joint = quantum.evolve_extended(ext, psi, thetas, method="dense")
     s_out, t_out = quantum.evolve_factored(system, clock, psi_s, psi_T, thetas)
     overlaps = np.sum(joint.conj() * quantum.separable_state(s_out, t_out), axis=-1)
-    rec.add("factorization_fidelity", min(1.0, float(np.min(np.abs(overlaps)))),
+    run.add("factorization_fidelity", min(1.0, float(np.min(np.abs(overlaps)))),
             1.0 - 1e-11, ">=")
     kron = quantum.evolve_extended(ext, psi, thetas, method="kron")
-    rec.add("kron_dense_agreement", float(np.max(np.abs(kron - joint))), 1e-10, "<=")
+    run.add("kron_dense_agreement", float(np.max(np.abs(kron - joint))), 1e-10, "<=")
 
     psi = quantum.separable_state(_random_unit(rng, n), quantum.gaussian_clock_state(clock))
     one = quantum.evolve_extended(ext, psi, 0.7)
-    rec.add("unitarity", abs(np.linalg.norm(one) - 1.0), 1e-12, "<=")
+    run.add("unitarity", abs(np.linalg.norm(one) - 1.0), 1e-12, "<=")
     two = quantum.evolve_extended(ext, quantum.evolve_extended(ext, psi, 0.3), 0.4)
-    rec.add("group_law_fidelity", quantum.fidelity(one, two), 1.0 - 1e-11, ">=")
+    run.add("group_law_fidelity", quantum.fidelity(one, two), 1.0 - 1e-11, ">=")
 
-    rec.add("commutator_residual_gaussian",
+    run.add("commutator_residual_gaussian",
             quantum.commutator_residual(clock, quantum.gaussian_clock_state(clock)),
             1e-6, "<=")
 
     packet = quantum.gaussian_clock_state(clock, width=clock.M * clock.deltaT / 16)
     ground = system.eigenstate(0)
     unc = quantum.uncertainty_product(ext, quantum.separable_state(ground, packet))
-    rec.add("uncertainty_product_low", unc.product, 0.5 - 1e-3, ">=")
-    rec.add("uncertainty_product_high", unc.product, 0.6, "<=")
+    run.add("uncertainty_product_low", unc.product, 0.5 - 1e-3, ">=")
+    run.add("uncertainty_product_high", unc.product, 0.6, "<=")
     lam, W = ext.eigensystem()
-    rec.add("eigenstate_energy_spread",
+    run.add("eigenstate_energy_spread",
             quantum.uncertainty_product(ext, W[:, 0]).d_energy, 1e-10, "<=")
-    return rec
 
 
-def _solve_spectral(cfg, ext):
-    return constraint.solve_constraint_spectral(ext, cfg.tolerances.eps_match or None)
-
-
-def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
-                            spaces: dict) -> _Recorder:
-    rec = _Recorder("constraint")
-    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
-    spectral = _solve_spectral(cfg, ext)
+def _suite_constraint_solve(run: _Run, rng):
+    ext, spectral = run.ext, run.spectral
+    system, clock = ext.system, ext.clock
     # the dense kernel route, at the same tolerance, is the oracle the
     # spectral one is compared with
     kernel = constraint.solve_constraint_kernel(ext, spectral.eps)
-    out["subspace"] = spectral
 
-    rec.add("dim_spectral", spectral.d, None, "info")
-    rec.add("methods_dim_equal", abs(spectral.d - kernel.d), 0.0, "==")
-    if cfg.constraint.expected_dim >= 0:
-        rec.add("expected_dim", spectral.d, cfg.constraint.expected_dim, "==")
-    if cfg.constraint.expect_misses:
-        rec.add("expected_miss_count", len(spectral.misses), 1, ">=",
+    run.add("dim_spectral", spectral.d, None, "info")
+    run.add("methods_dim_equal", abs(spectral.d - kernel.d), 0.0, "==")
+    if run.cfg.constraint.expected_dim >= 0:
+        run.add("expected_dim", spectral.d, run.cfg.constraint.expected_dim, "==")
+    if run.cfg.constraint.expect_misses:
+        run.add("expected_miss_count", len(spectral.misses), 1, ">=",
                 note="expected-miss: incommensurate level correctly unmatched")
         if spectral.misses:
-            rec.add("nearest_miss_distance", spectral.misses[0].distance, None, "info",
+            run.add("nearest_miss_distance", spectral.misses[0].distance, None, "info",
                     note="expected-miss diagnostic")
     elif spectral.misses:
-        rec.add("unexpected_miss_count", len(spectral.misses), 0, "==")
+        run.add("unexpected_miss_count", len(spectral.misses), 0, "==")
 
     if spectral.d and kernel.d == spectral.d:
         angles = constraint.principal_angles(spectral.basis, kernel.basis)
-        rec.add("principal_angle", float(np.max(angles)), 1e-8, "<=")
+        run.add("principal_angle", float(np.max(angles)), 1e-8, "<=")
     if spectral.d:
         scale = max(1.0, float(np.linalg.norm(ext.hamiltonian, np.inf)))
         worst = max(constraint.constraint_residual(ext, spectral.basis[:, a])
                     for a in range(spectral.d))
-        rec.add("basis_residual", worst, 1e-9 * scale, "<=")
+        run.add("basis_residual", worst, 1e-9 * scale, "<=")
 
         gram = spectral.basis.conj().T @ spectral.basis
-        rec.add("basis_orthonormality",
+        run.add("basis_orthonormality",
                 float(np.max(np.abs(gram - np.eye(spectral.d)))), 1e-10, "<=")
 
         # B^dag (I (x) S) B, with S applied along the clock axis of each column
@@ -318,43 +323,36 @@ def _suite_constraint_solve(cfg: ScenarioConfig, rng, out: dict,
         s_basis = quantum._clock_apply(clock.frequencies, columns).reshape(spectral.d, -1)
         restricted = spectral.basis.conj().T @ s_basis.T
         expected = np.diag([-clock.sigma * p.energy for p in spectral.pairs])
-        rec.add("restricted_s_matrix",
+        run.add("restricted_s_matrix",
                 float(np.max(np.abs(restricted - expected))), 1e-9, "<=")
 
         state = constraint.make_physical_state(spectral, _random_unit(rng, spectral.d))
         marg = constraint.physical_clock_marginal(state)
-        rec.add("uniform_clock_marginal",
+        run.add("uniform_clock_marginal",
                 float(np.max(np.abs(marg - 1.0 / clock.M))), 1e-10, "<=")
 
         stat = constraint.stationarity_check(ext, state, (0.1, 1.0, 10.0))
-        rec.add("stationarity_fidelity", stat.min_fidelity, 1.0 - 1e-10, ">=")
-    return rec
+        run.add("stationarity_fidelity", stat.min_fidelity, 1.0 - 1e-10, ">=")
 
 
-def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
-                      spaces: dict) -> _Recorder:
-    rec = _Recorder("povm")
-    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
-    spectral = _solve_spectral(cfg, ext)
-    measure = povm.build_time_povm(spectral)
-    out["povm"] = measure
-    out["subspace"] = spectral
+def _suite_povm_audit(run: _Run, rng):
+    cfg, system, clock = run.cfg, run.ext.system, run.ext.clock
+    spectral, measure = run.spectral, run.measure
 
-    rec.add("min_effect_eigenvalue", measure.min_effect_eigenvalue(), -1e-12, ">=")
-    rec.add("completeness_residual", measure.completeness_residual(), 1e-10, "<=")
+    run.add("min_effect_eigenvalue", measure.min_effect_eigenvalue(), -1e-12, ">=")
+    run.add("completeness_residual", measure.completeness_residual(), 1e-10, "<=")
 
-    violation = povm.pm_violation_report(measure)
-    out["pm_violation"] = violation
+    violation = run.pm_violation = povm.pm_violation_report(measure)
     if measure.d < measure.M:
-        rec.add("orthogonality_defect", violation.orthogonality_defect, 1e-6, ">=")
-        rec.add("idempotency_defect", violation.idempotency_defect, 1e-6, ">=")
+        run.add("orthogonality_defect", violation.orthogonality_defect, 1e-6, ">=")
+        run.add("idempotency_defect", violation.idempotency_defect, 1e-6, ">=")
 
     control_clock = quantum.build_clock(16, clock.deltaT, clock.T0, clock.sigma)
     control = povm.pm_violation_report(povm.projective_clock_povm(control_clock))
-    rec.add("control_orthogonality_defect", control.orthogonality_defect, 1e-12, "<=")
-    rec.add("control_idempotency_defect", control.idempotency_defect, 1e-12, "<=")
+    run.add("control_orthogonality_defect", control.orthogonality_defect, 1e-12, "<=")
+    run.add("control_idempotency_defect", control.idempotency_defect, 1e-12, "<=")
 
-    rec.add("first_moment_vs_closed_form",
+    run.add("first_moment_vs_closed_form",
             povm.first_moment_vs_closed_form(measure, spectral.pairs),
             1e-12 * max(1.0, float(np.max(np.abs(measure.times)))), "<=")
 
@@ -365,17 +363,16 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
         ext_b = quantum.build_extended(system, clock_b)
         spectral_b = _solve_spectral(cfg, ext_b)
         measure_b = povm.build_time_povm(spectral_b)
-        rec.add("sigma_pair_conjugate_effects",
+        run.add("sigma_pair_conjugate_effects",
                 float(np.max(np.abs(measure_b.effects - measure.effects.conj()))),
                 1e-12, "<=")
         c = quantum.unit(rng.normal(size=measure.d))
-        rec.add("sigma_pair_real_distribution",
+        run.add("sigma_pair_real_distribution",
                 float(np.max(np.abs(povm.time_distribution(measure, c)
                                     - povm.time_distribution(measure_b, c)))),
                 1e-10, "<=")
 
     # defect-vs-M sweep: the same spectrum re-snapped onto finer grids
-    sweep = []
     for M_sweep in (16, 32, 64):
         clock_s = quantum.build_clock(M_sweep, cfg.clock.deltaT, cfg.clock.T0,
                                       cfg.clock.sigma)
@@ -386,24 +383,20 @@ def _suite_povm_audit(cfg: ScenarioConfig, rng, out: dict,
             rep_s = povm.pm_violation_report(povm.build_time_povm(sub_s))
         except InvalidInputError:  # coarse grids can collapse levels
             continue
-        sweep.append((M_sweep, rep_s.orthogonality_defect, rep_s.idempotency_defect))
-    out["defect_sweep"] = sweep
-    return rec
+        run.defect_sweep.append((M_sweep, rep_s.orthogonality_defect,
+                                 rep_s.idempotency_defect))
 
 
-def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
-                             spaces: dict) -> _Recorder:
-    rec = _Recorder("distribution")
-    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
-    spectral = _solve_spectral(cfg, ext)
-    measure = povm.build_time_povm(spectral)
+def _suite_time_distribution(run: _Run, rng):
+    system, clock = run.ext.system, run.ext.clock
+    spectral, measure = run.spectral, run.measure
     d, M = measure.d, clock.M
 
     single = np.zeros(d)
     single[0] = 1.0
     p_single = povm.time_distribution(measure, single)
-    rec.add("single_pair_uniform", float(np.max(np.abs(p_single - 1.0 / M))), 1e-12, "<=")
-    out["distributions"] = {"single_pair": p_single}
+    run.add("single_pair_uniform", float(np.max(np.abs(p_single - 1.0 / M))), 1e-12, "<=")
+    run.distributions["single_pair"] = p_single
 
     if d >= 2:
         c = np.zeros(d, dtype=complex)
@@ -411,9 +404,9 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
         p_two = povm.time_distribution(measure, c)
         delta_omega = spectral.pairs[1].s_value - spectral.pairs[0].s_value
         fringe = (1.0 + np.cos(delta_omega * (clock.times - clock.T0))) / M
-        rec.add("two_pair_fringe", float(np.max(np.abs(p_two - fringe))), 1e-9, "<=",
+        run.add("two_pair_fringe", float(np.max(np.abs(p_two - fringe))), 1e-9, "<=",
                 note=f"matched-frequency gap {delta_omega:.6g}")
-        out["distributions"]["two_pair"] = p_two
+        run.distributions["two_pair"] = p_two
 
         state = constraint.make_physical_state(spectral, c)
         worst = 1.0
@@ -425,55 +418,53 @@ def _suite_time_distribution(cfg: ScenarioConfig, rng, out: dict,
             stepped = quantum._eigenbasis_apply(system.vectors, step_phases, cond.T).T
             overlaps = np.sum(np.roll(cond, -1, axis=1).conj() * stepped, axis=0)
             worst = min(worst, float(np.min(np.abs(overlaps))))
-        rec.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=")
+        run.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=")
 
         full = povm.EventOperator(projector=np.eye(system.n_levels), window=range(M))
-        rec.add("event_total_probability",
+        run.add("event_total_probability",
                 abs(povm.event_probability(full, spectral, state) - 1.0), 1e-12, "<=")
         single_state = constraint.make_physical_state(spectral, single)
         one_bin = povm.EventOperator(projector=np.eye(system.n_levels), window=(0,))
-        rec.add("event_single_bin",
+        run.add("event_single_bin",
                 abs(povm.event_probability(one_bin, spectral, single_state) - 1.0 / M),
                 1e-12, "<=")
         none = povm.EventOperator(projector=np.zeros((system.n_levels, system.n_levels)),
                                   window=range(M))
-        rec.add("event_null_projector",
+        run.add("event_null_projector",
                 povm.event_probability(none, spectral, state), 1e-15, "<=")
 
     sums = 0.0
     for _ in range(100):
         p = povm.time_distribution(measure, _random_unit(rng, d))
         sums = max(sums, abs(float(p.sum()) - 1.0))
-    rec.add("distribution_normalization", sums, 1e-10, "<=")
-    return rec
+    run.add("distribution_normalization", sums, 1e-10, "<=")
 
 
-def _suite_covariance(cfg: ScenarioConfig, rng, out: dict,
-                      spaces: dict) -> _Recorder:
-    rec = _Recorder("covariance")
-    system, clock, ext = _quantum_setup(cfg, rng, rec, spaces)
+def _suite_covariance(run: _Run, rng):
+    ext = run.ext
+    system, clock = ext.system, ext.clock
     psi = quantum.separable_state(_random_unit(rng, system.n_levels),
                                   quantum.gaussian_clock_state(clock))
     report5 = povm.covariance_report(ext, psi, 5 * clock.deltaT)
-    rec.add("generic_shift_deviation", report5.shift_deviation, 1e-8, "<=")
+    run.add("generic_shift_deviation", report5.shift_deviation, 1e-8, "<=")
     report0 = povm.covariance_report(ext, psi, 0.0)
-    rec.add("zero_step_deviation", report0.shift_deviation, 1e-14, "<=")
+    run.add("zero_step_deviation", report0.shift_deviation, 1e-14, "<=")
 
-    spectral = _solve_spectral(cfg, ext)
+    spectral = run.spectral
     if spectral.d:
         state = constraint.make_physical_state(spectral, _random_unit(rng, spectral.d))
         rep = povm.covariance_report(ext, state.vector, 5 * clock.deltaT)
-        rec.add("physical_marginal_invariance", rep.stationary_deviation, 1e-10, "<=")
-    return rec
+        run.add("physical_marginal_invariance", rep.stationary_deviation, 1e-10, "<=")
 
 
+# suite name -> (check-id prefix, suite)
 _SUITES = {
-    "classical-equivalence": _suite_classical_equivalence,
-    "quantum-equivalence": _suite_quantum_equivalence,
-    "constraint-solve": _suite_constraint_solve,
-    "povm-audit": _suite_povm_audit,
-    "time-distribution": _suite_time_distribution,
-    "covariance": _suite_covariance,
+    "classical-equivalence": ("classical", _suite_classical_equivalence),
+    "quantum-equivalence": ("quantum", _suite_quantum_equivalence),
+    "constraint-solve": ("constraint", _suite_constraint_solve),
+    "povm-audit": ("povm", _suite_povm_audit),
+    "time-distribution": ("distribution", _suite_time_distribution),
+    "covariance": ("covariance", _suite_covariance),
 }
 
 
@@ -500,21 +491,16 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
         if name not in _SUITES:
             raise ConfigError(f"unknown suite {name!r}")
 
-    master = _Recorder(cfg.scenario)
-    artifacts: dict = {}
-    spaces: dict = {}  # shared extended spaces, dropped when the run ends
-    for index, name in enumerate(SUITE_NAMES):
-        if name not in chosen:
-            continue
-        rng = np.random.default_rng((seed, index))
-        out: dict = {}
-        master.extend(_SUITES[name](cfg, rng, out, spaces))
-        artifacts[name] = out
+    run = _Run(cfg, seed)
+    ran = tuple(name for name in SUITE_NAMES if name in chosen)
+    for name in ran:
+        run.prefix, suite = _SUITES[name]
+        suite(run, np.random.default_rng((seed, SUITE_NAMES.index(name))))
 
     report = AuditReport(
         scenario=cfg.scenario,
-        suites=tuple(n for n in SUITE_NAMES if n in chosen),
-        records=tuple(master.records),
+        suites=ran,
+        records=tuple(run.records),
         config_digest=hashlib.sha256(serialize_config(cfg).encode()).hexdigest(),
         seed=seed,
         environment={
@@ -526,58 +512,51 @@ def run_scenario(cfg: ScenarioConfig, suites=None, out_dir=None,
     )
     if out_dir is not None:
         try:
-            _write_artifacts(cfg, report, artifacts, Path(out_dir), formats)
+            _write_artifacts(report, run, Path(out_dir), formats)
         except OSError as exc:
             raise ConfigError(f"cannot write artifacts to {out_dir}: {exc}") from exc
     return report
 
 
-def _write_artifacts(cfg, report, artifacts, out_dir: Path, formats):
+def _write_artifacts(report, run: _Run, out_dir: Path, formats):
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = cfg.scenario
+    stem = report.scenario
     (out_dir / f"{stem}.report.json").write_text(report.to_json(), encoding="utf-8")
 
-    povm_art = artifacts.get("povm-audit", {})
-    if "povm" in povm_art:
-        measure = povm_art["povm"]
-        violation = povm_art["pm_violation"]
+    # the POVM summary and the distribution CSVs go with povm-audit, the
+    # subspace with either suite that audits it
+    audited_povm = "povm-audit" in report.suites
+    if audited_povm:
+        measure = run.measure
         summary = {
-            "scenario": cfg.scenario,
+            "scenario": report.scenario,
             "sigma": measure.sigma,
             "d": measure.d,
             "M": measure.M,
-            "defects": violation.as_dict(),
+            "defects": run.pm_violation.as_dict(),
             "completeness_residual": measure.completeness_residual(),
-            "distributions": {
-                name: list(map(float, dist))
-                for name, dist in artifacts.get("time-distribution", {})
-                .get("distributions", {}).items()
-            },
+            "distributions": {name: list(map(float, dist))
+                              for name, dist in run.distributions.items()},
         }
         (out_dir / f"{stem}.povm.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    if "subspace" in povm_art or "subspace" in artifacts.get("constraint-solve", {}):
-        sub = povm_art.get("subspace") or artifacts["constraint-solve"]["subspace"]
+    if audited_povm or "constraint-solve" in report.suites:
         (out_dir / f"{stem}.subspace.json").write_text(
-            json.dumps(serialize.subspace_to_container(sub), sort_keys=True) + "\n",
+            json.dumps(serialize.subspace_to_container(run.spectral), sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
     if "csv" not in formats:
         return
-    classical_art = artifacts.get("classical-equivalence", {})
-    for name, traj in classical_art.get("trajectories", {}).items():
+    for name, traj in run.trajectories.items():
         traj.to_csv(out_dir / f"{stem}.{name}.csv")
-    dist_art = artifacts.get("time-distribution", {})
-    if "distributions" in dist_art and "povm" in povm_art:
-        times = povm_art["povm"].times
-        for name, dist in dist_art["distributions"].items():
+    if audited_povm:
+        for name, dist in run.distributions.items():
             serialize.write_distribution_csv(out_dir / f"{stem}.dist.{name}.csv",
-                                             times, dist)
-    if povm_art.get("defect_sweep"):
-        serialize.write_defect_sweep_csv(out_dir / f"{stem}.defects.csv",
-                                         povm_art["defect_sweep"])
+                                             run.measure.times, dist)
+    if run.defect_sweep:
+        serialize.write_defect_sweep_csv(out_dir / f"{stem}.defects.csv", run.defect_sweep)
 
 
 def bundled_scenarios() -> tuple:

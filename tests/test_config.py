@@ -32,7 +32,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.clock.sigma == 1
     assert cfg.classical.t_end == pytest.approx(2 * math.pi)
     assert cfg.seed == 0
-    assert cfg.tolerances.state_deviation == 1e-9
+    assert cfg.tolerances.constraint_drift == 1e-10
     assert cfg.suites == ()
 
 
@@ -165,15 +165,12 @@ def valid_configs(draw):
                           T0=draw(finite), sigma=draw(st.sampled_from((1, -1)))),
         tolerances=ToleranceConfig(eps_match=draw(st.floats(min_value=0.0,
                                                             allow_infinity=False)),
-                                   state_deviation=draw(positive),
-                                   time_residual=draw(positive),
                                    constraint_drift=draw(positive)),
         classical=ClassicalConfig(dt=(dt := draw(positive)),
                                   # at most half the step budget, whatever the rounding
                                   t_end=draw(st.floats(min_value=0.0, exclude_min=True,
                                                        max_value=dt * MAX_CLASSICAL_STEPS / 2,
                                                        allow_infinity=False)),
-                                  t0=draw(finite),
                                   q0=tuple(draw(st.lists(finite, min_size=n, max_size=n))),
                                   p0=tuple(draw(st.lists(finite, min_size=n, max_size=n)))),
         constraint=ConstraintConfig(expected_dim=draw(st.integers(-1, 10 ** 6)),

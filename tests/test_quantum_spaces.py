@@ -12,6 +12,7 @@ from chronolab import (
     build_clock,
     build_extended,
     build_system_space,
+    gaussian_clock_state,
     quantum,
 )
 from chronolab.quantum import verify_kronecker_spectrum
@@ -155,6 +156,12 @@ def test_clock_validation():
         build_clock(8, 1e-308)  # pi/deltaT overflows
     with pytest.raises(InvalidInputError):
         build_clock(8, 1e308)  # T0 + (M-1) deltaT overflows
+    with pytest.raises(InvalidInputError, match="squared span"):
+        build_clock(64, 1e153)  # (M deltaT)**2 overflows
+    with pytest.raises(InvalidInputError, match="not strictly increasing"):
+        build_clock(64, 0.25, T0=1e200)  # the step is lost against T0
+    with pytest.raises(InvalidInputError, match="4\\*width\\*\\*2 overflows"):
+        gaussian_clock_state(build_clock(64, 0.25), width=1e200)
     with pytest.raises(InvalidInputError):
         build_clock(8, 1.0).plane_wave(4)
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import gc
 import io
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, classical,
-                       parse_config, quantum, serialize_config)
-from chronolab.cli import main
+                       constraint, parse_config, povm, quantum, serialize_config)
+from chronolab import config
+from chronolab.cli import _run_isolated, main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
 from chronolab.scenarios import bundled_scenarios, run_scenario
 
@@ -140,8 +143,11 @@ def test_cli_check_failure_exit_code(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    # tolerances.hex_drift set the threshold of a check that repeated constraint_drift
-    for line in ("foo = 1", "tolerances.hex_drift = 1e-8"):
+    # removed keys: hex_drift set the threshold of a check that repeated
+    # constraint_drift, every nonzero t0 failed time_mismatch by construction,
+    # and the two classical thresholds had one value in use
+    for line in ("foo = 1", "tolerances.hex_drift = 1e-8", "classical.t0 = 0.5",
+                 "tolerances.state_deviation = 1e-9", "tolerances.time_residual = 1e-10"):
         cfg_path = tmp_path / "broken.cfg"
         cfg_path.write_text(f"scenario = broken\nsystem.kind = qubit\n{line}\n")
         code = main(["constraint-solve", "--config", str(cfg_path)])
@@ -409,10 +415,64 @@ def test_one_decomposition_per_distinct_space_per_run(decompositions):
         assert run_scenario(cfg).passed
         assert len(decompositions) == runs
     decompositions.clear()
-    # random-hermitian suites draw their own matrices: same config, two spaces
-    assert run_scenario(parse_config(RANDOM_PAIR)).passed
-    assert len(decompositions) == 2
-    assert decompositions[0] is not decompositions[1]
+    # a random-hermitian matrix is drawn once per run, from a stream of its
+    # own, so both suites read the one space that holds it
+    cfg = parse_config(RANDOM_PAIR)
+    assert run_scenario(cfg).passed
+    assert len(decompositions) == 1
+    rng = np.random.default_rng((cfg.seed, len(SUITE_NAMES)))
+    raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    drawn, _ = constraint.snap_energies(quantum.build_system_space(0.5 * (raw + raw.conj().T)),
+                                        decompositions[0].clock)
+    assert decompositions[0].system.matrix.tobytes() == drawn.matrix.tobytes()
+
+
+def test_one_setup_per_run(monkeypatch):
+    calls = []
+    for module, name in ((quantum, "build_extended"),
+                         (constraint, "solve_constraint_spectral"),
+                         (povm, "build_time_povm")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = parse_config(TOY_GRID)
+    assert not cfg.compare_sigmas  # so no sigma-pair space
+    # povm-audit's defect sweep builds, solves and measures M = 16, 32, 64 itself
+    sweep = 3
+    for _ in range(2):
+        calls.clear()
+        assert run_scenario(cfg).passed
+        assert collections.Counter(calls) == {"build_extended": 1 + sweep,
+                                              "solve_constraint_spectral": 1 + sweep,
+                                              "build_time_povm": 1 + sweep}
+
+
+RANDOM_ALL = RANDOM_PAIR.replace(
+    "quantum-equivalence, constraint-solve",
+    "quantum-equivalence, constraint-solve, povm-audit, time-distribution, covariance")
+
+
+def is_snap(record):
+    return record.check_id.endswith(".snap_max_shift")
+
+
+@pytest.mark.parametrize("text", [
+    RANDOM_ALL,
+    (Path(quantum.__file__).parent / "configs" / "04_oscillator_snapped.cfg").read_text(),
+], ids=["random-hermitian", "oscillator-snapped"])
+def test_a_suite_records_the_same_alone_or_with_the_others(text):
+    cfg = parse_config(text)
+    together = run_scenario(cfg).records
+    snaps = [r for r in together if is_snap(r)]
+    assert len(snaps) == 1  # by the suite that builds the system
+    for name in cfg.suites:
+        alone = run_scenario(cfg, suites=(name,)).records
+        prefix = alone[-1].check_id.split(".")[0] + "."
+        assert [r for r in alone if not is_snap(r)] == \
+            [r for r in together if r.check_id.startswith(prefix) and not is_snap(r)]
+        assert [(r.value, r.note) for r in alone if is_snap(r)] == [(snaps[0].value, snaps[0].note)]
 
 
 def assemble_hex(ext, mutate):
@@ -582,3 +642,31 @@ def test_fuzzed_config_text_only_yields_documented_exit_codes(command, text):
             code = main([command, "--config", str(path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+FLOAT_KEYS = [key for key, (_, _, parser) in config._KEYS.items()
+              if parser in (config._parse_float, config._parse_float_list)]
+FLOAT_EXTREMES = ("1e200", "-1e300", "1.7e308", "2e-308", "5e-324", "1e153")
+
+
+@pytest.mark.parametrize("text", BUNDLED_TEXTS,
+                         ids=[parse_config(text).scenario for text in BUNDLED_TEXTS])
+def test_float_extremes_only_yield_documented_exit_codes(text):
+    # every float key of a bundled config at each extreme, through the CLI's
+    # error mapping; an overflow warning is an error, as under PYTHONWARNINGS=error
+    failures = []
+    for key in FLOAT_KEYS:
+        kept = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        for value in FLOAT_EXTREMES:
+            edited = "\n".join(kept + [f"{key} = {value}"])
+            try:
+                with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+                      contextlib.redirect_stderr(io.StringIO())):
+                    warnings.simplefilter("error")
+                    code = _run_isolated(key, lambda: parse_config(edited))
+            except Exception as exc:
+                failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
+                continue
+            if code not in (0, 1, 2, 3):
+                failures.append(f"{key} = {value}: exit {code}")
+    assert failures == []
