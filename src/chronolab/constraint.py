@@ -166,9 +166,9 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
     eps = default_eps_match(ext) if eps_eig is None else float(eps_eig)
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidInputError("eps_eig must be positive and finite")
-    lam, W = ext.eigensystem()
+    lam, _ = ext.eigensystem()
     # columns of the unitary W: orthonormal as they stand
-    basis = W[:, np.flatnonzero(np.abs(lam) <= eps)]
+    basis = ext.eigenvectors(np.flatnonzero(np.abs(lam) <= eps))
     pairs, misses = _match_levels(ext, eps)
     return PhysicalSubspace(space=ext, basis=basis, pairs=tuple(pairs), eps=eps,
                             misses=tuple(misses), method="kernel")

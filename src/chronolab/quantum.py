@@ -14,6 +14,9 @@ Units: hbar = 1.
 
 H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT;
 the dense S_op, H_ex and eigensystem() are built only for the oracles.
+eigensystem() keeps its eigenvectors in their decoupled blocks, and the
+dense evolution applies each block to its own rows: no (dim, dim)
+eigenvector matrix is formed; `eigenvectors(cols)` gives dense columns.
 """
 
 from __future__ import annotations
@@ -272,38 +275,47 @@ class ExtendedSpace:
         return H_ex
 
     def eigensystem(self):
-        """Cached dense eigendecomposition of H_ex (the oracle path).
+        """Cached dense eigendecomposition of H_ex (the oracle path), as
+        (lam, blocks).
 
         Reads the assembled matrix alone, one eigh per connected component
         of its symmetric zero pattern: a permutation that makes H_ex
         block-diagonal is an exact similarity, so each block's eigenpairs,
-        scattered back to the block's rows, are eigenpairs of H_ex.  They
-        are written straight into their ascending positions in lam and W,
-        ties in component order.  A matrix that does not split goes to eigh
-        as it is.
+        placed on the block's rows, are eigenpairs of H_ex.  lam ascends,
+        ties in component order.  `blocks` holds one (rows, cols, vectors)
+        per component, the nonzero part W[rows, cols] of those columns of
+        the eigenvector matrix W, which is never formed (see
+        `eigenvectors`).  A matrix that does not split goes to eigh as it
+        is, as one block.
         """
         if self._eig is None:
             H = self.hamiltonian
-            blocks = _connected_components(H)
-            if len(blocks) == 1:
-                lam, W = _decompose(np.linalg.eigh, H)
-            else:
-                pairs = [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in blocks]
-                rank = np.empty(self.dim, dtype=np.intp)
-                rank[np.argsort(np.concatenate([values for values, _ in pairs]),
-                                kind="stable")] = np.arange(self.dim)
-                lam = np.empty(self.dim)
-                W = np.zeros((self.dim, self.dim), dtype=complex)
-                start = 0
-                for rows, (values, vectors) in zip(blocks, pairs):
-                    cols = rank[start:start + rows.size]
-                    lam[cols] = values
-                    W[np.ix_(rows, cols)] = vectors
-                    start += rows.size
-            lam.setflags(write=False)
-            W.setflags(write=False)
-            self._eig = (lam, W)
+            components = _connected_components(H)
+            pairs = ([_decompose(np.linalg.eigh, H)] if len(components) == 1 else
+                     [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in components])
+            values = np.concatenate([block_values for block_values, _ in pairs])
+            order = np.argsort(values, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(self.dim)  # a block's cols ascend, as its values
+            cols = np.split(rank, np.cumsum([rows.size for rows in components])[:-1])
+            blocks = tuple(zip(components, cols, [vectors for _, vectors in pairs]))
+            lam = values[order]
+            for arr in (lam, *(arr for block in blocks for arr in block)):
+                arr.setflags(write=False)
+            self._eig = (lam, blocks)
         return self._eig
+
+    def eigenvectors(self, cols) -> np.ndarray:
+        """Columns `cols` (a 1-d index) of the eigenvector matrix W of
+        `eigensystem()`, as a dense (dim, len(cols)) array."""
+        _, blocks = self.eigensystem()
+        cols = np.arange(self.dim)[cols]
+        out = np.zeros((self.dim, cols.size), dtype=complex)
+        for rows, block_cols, vectors in blocks:
+            at = np.searchsorted(block_cols, cols).clip(max=block_cols.size - 1)
+            hit = block_cols[at] == cols
+            out[np.ix_(rows, np.flatnonzero(hit))] = vectors[:, at[hit]]
+        return out
 
 
 def _decompose(decompose, H: np.ndarray):
@@ -397,7 +409,8 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
 
     method 'kron' factors the propagator through the two eigenbases (exact
     at rounding level); 'dense' goes through the numerical eigendecomposition
-    of the assembled H_ex and serves as the independent cross-check.
+    of the assembled H_ex, one decoupled block at a time, and serves as the
+    independent cross-check.
 
     psi is (..., dim) and theta a scalar or an array; their leading axes
     broadcast numpy-style, so the result is
@@ -426,8 +439,14 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
         block = _clock_apply(_phases(theta, clk.frequencies, ext.sigma), block)
         return block.reshape(block.shape[:-2] + (ext.dim,))
     if method == "dense":
-        lam, W = ext.eigensystem()
-        return _eigenbasis_apply(W, _phases(theta[..., None], lam), psi)
+        lam, blocks = ext.eigensystem()
+        phases = _phases(theta[..., None], lam)
+        if len(blocks) == 1:
+            return _eigenbasis_apply(blocks[0][2], phases, psi)
+        out = np.empty(np.broadcast_shapes(psi.shape, phases.shape), dtype=complex)
+        for rows, cols, vectors in blocks:  # each block on its own rows
+            out[..., rows] = _eigenbasis_apply(vectors, phases[..., cols], psi[..., rows])
+        return out
     raise InvalidInputError(f"unknown evolution method {method!r}")
 
 

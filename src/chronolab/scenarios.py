@@ -280,9 +280,9 @@ def _suite_quantum_equivalence(run: _Run, rng):
     unc = quantum.uncertainty_product(ext, quantum.separable_state(ground, packet))
     run.add("uncertainty_product_low", unc.product, 0.5 - 1e-3, ">=")
     run.add("uncertainty_product_high", unc.product, 0.6, "<=")
-    lam, W = ext.eigensystem()
     run.add("eigenstate_energy_spread",
-            quantum.uncertainty_product(ext, W[:, 0]).d_energy, 1e-10, "<=")
+            quantum.uncertainty_product(ext, ext.eigenvectors([0])[:, 0]).d_energy,
+            1e-10, "<=")
 
 
 def _suite_constraint_solve(run: _Run, rng):
@@ -335,9 +335,29 @@ def _suite_constraint_solve(run: _Run, rng):
         run.add("stationarity_fidelity", stat.min_fidelity, 1.0 - 1e-10, ">=")
 
 
+def _time_povm(run: _Run) -> povm.TimePOVM | None:
+    """The run's time POVM, or None after one failing check that says why
+    the physics leaves none: an empty physical subspace, or matched levels
+    that share a clock frequency (snapped levels collide on a coarse grid).
+    Both come from valid configs, so neither is an input error."""
+    spectral = run.spectral
+    if not spectral.d:
+        run.add("physical_dim", 0, 1, ">=",
+                note="the physical subspace is empty: no time POVM")
+        return None
+    shared = spectral.d - len({pair.k for pair in spectral.pairs})
+    if shared:
+        run.add("shared_matched_frequencies", shared, 0, "==",
+                note="matched levels share a clock frequency: no time POVM")
+        return None
+    return run.measure
+
+
 def _suite_povm_audit(run: _Run, rng):
     cfg, system, clock = run.cfg, run.ext.system, run.ext.clock
-    spectral, measure = run.spectral, run.measure
+    spectral, measure = run.spectral, _time_povm(run)
+    if measure is None:
+        return
 
     run.add("min_effect_eigenvalue", measure.min_effect_eigenvalue(), -1e-12, ">=")
     run.add("completeness_residual", measure.completeness_residual(), 1e-10, "<=")
@@ -389,7 +409,9 @@ def _suite_povm_audit(run: _Run, rng):
 
 def _suite_time_distribution(run: _Run, rng):
     system, clock = run.ext.system, run.ext.clock
-    spectral, measure = run.spectral, run.measure
+    spectral, measure = run.spectral, _time_povm(run)
+    if measure is None:
+        return
     d, M = measure.d, clock.M
 
     single = np.zeros(d)
@@ -523,10 +545,9 @@ def _write_artifacts(report, run: _Run, out_dir: Path, formats):
     stem = report.scenario
     (out_dir / f"{stem}.report.json").write_text(report.to_json(), encoding="utf-8")
 
-    # the POVM summary and the distribution CSVs go with povm-audit, the
-    # subspace with either suite that audits it
-    audited_povm = "povm-audit" in report.suites
-    if audited_povm:
+    # every artifact the run computed: the POVM summary with povm-audit, the
+    # distribution CSVs and the subspace whenever a suite built them
+    if run.pm_violation is not None:
         measure = run.measure
         summary = {
             "scenario": report.scenario,
@@ -541,7 +562,7 @@ def _write_artifacts(report, run: _Run, out_dir: Path, formats):
         (out_dir / f"{stem}.povm.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    if audited_povm or "constraint-solve" in report.suites:
+    if "spectral" in vars(run):  # set by the cached_property; reading it would build it
         (out_dir / f"{stem}.subspace.json").write_text(
             json.dumps(serialize.subspace_to_container(run.spectral), sort_keys=True) + "\n",
             encoding="utf-8",
@@ -551,10 +572,9 @@ def _write_artifacts(report, run: _Run, out_dir: Path, formats):
         return
     for name, traj in run.trajectories.items():
         traj.to_csv(out_dir / f"{stem}.{name}.csv")
-    if audited_povm:
-        for name, dist in run.distributions.items():
-            serialize.write_distribution_csv(out_dir / f"{stem}.dist.{name}.csv",
-                                             run.measure.times, dist)
+    for name, dist in run.distributions.items():
+        serialize.write_distribution_csv(out_dir / f"{stem}.dist.{name}.csv",
+                                         run.measure.times, dist)
     if run.defect_sweep:
         serialize.write_defect_sweep_csv(out_dir / f"{stem}.defects.csv", run.defect_sweep)
 

@@ -23,7 +23,7 @@ from chronolab import (
     uncertainty_product,
 )
 from chronolab.constraint import constraint_residual
-from chronolab.quantum import _phases, clock_marginal, fidelity, unit
+from chronolab.quantum import _eigenbasis_apply, _phases, clock_marginal, fidelity, unit
 
 
 def random_hermitian(rng, n):
@@ -52,7 +52,8 @@ def test_zero_time_is_identity(setup):
 
 def test_eigenvector_picks_up_a_phase(setup):
     _, _, ext = setup
-    lam, W = ext.eigensystem()
+    lam, _ = ext.eigensystem()
+    W = ext.eigenvectors(np.arange(ext.dim))
     v = W[:, 3]
     evolved = evolve_extended(ext, v, 0.8)
     assert fidelity(evolved, v) > 1 - 1e-12
@@ -156,7 +157,8 @@ def test_adjoint_products_match_the_conjugate_transpose_formulas(setup):
     system, clock, ext = setup
     rng = np.random.default_rng(37)
     V, F = system.vectors, reduced_angle_dft(clock.M)
-    lam, W = ext.eigensystem()
+    lam, _ = ext.eigensystem()
+    W = ext.eigenvectors(np.arange(ext.dim))
     for theta in rng.uniform(-10, 10, size=5):
         psi = random_state(rng, ext.dim)
         dense = W @ (np.exp(-1j * lam * theta) * (W.conj().T @ psi))
@@ -238,6 +240,48 @@ def test_batched_evolutions_equal_a_loop_of_scalar_calls(n, M, sigma, seed):
             assert np.max(np.abs(out_T[index] - single_T)) <= 1e-13
 
 
+def coupled_system(kind, n, rng):
+    """A system matrix of the given coupling: `diagonal`, `two-blocks`
+    (two coupled Hermitian blocks) or `random` (coupled throughout)."""
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n))
+    if kind == "two-blocks":
+        matrix = np.zeros((n, n), dtype=complex)
+        matrix[:n // 2, :n // 2] = random_hermitian(rng, n // 2)
+        matrix[n // 2:, n // 2:] = random_hermitian(rng, n - n // 2)
+        return matrix
+    return random_hermitian(rng, n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(kind=st.sampled_from(("diagonal", "two-blocks", "random")),
+       n=st.integers(2, 6), M=st.integers(4, 16).map(lambda half: 2 * half),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_dense_evolution_equals_the_full_eigenvector_product(kind, n, M, sigma,
+                                                                         seed):
+    rng = np.random.default_rng(seed)
+    ext = build_extended(build_system_space(coupled_system(kind, n, rng)),
+                         build_clock(M, 0.25, sigma=sigma))
+    lam, blocks = ext.eigensystem()
+    W = np.zeros((ext.dim, ext.dim), dtype=complex)  # assembled here, never by the package
+    for rows, cols, vectors in blocks:
+        W[np.ix_(rows, cols)] = vectors
+    cols = rng.permutation(ext.dim)[:rng.integers(1, ext.dim + 1)]
+    assert np.array_equal(ext.eigenvectors(cols), W[:, cols])
+
+    psi = random_states(rng, (3, 1), ext.dim)
+    theta = rng.uniform(-10, 10, size=(3, 4))
+    dense = evolve_extended(ext, psi, theta, method="dense")
+    full = _eigenbasis_apply(W, _phases(theta[..., None], lam), psi)
+    assert dense.shape == (3, 4, ext.dim)
+    assert np.max(np.abs(dense - full)) <= 1e-13
+    if len(blocks) == 1:  # a coupled system: the plain eigh and its product, bit for bit
+        lam_ref, W_ref = np.linalg.eigh(ext.hamiltonian)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(blocks[0][2], W_ref)
+        assert np.array_equal(dense, _eigenbasis_apply(W_ref, _phases(theta[..., None],
+                                                                      lam_ref), psi))
+
+
 @pytest.mark.parametrize("theta", [np.nan, [0.1, np.inf], [[0.0, 1.0], [-np.inf, 2.0]]],
                          ids=["scalar-nan", "inf-in-a-row", "-inf-in-a-grid"])
 def test_a_non_finite_theta_anywhere_is_rejected(setup, theta):
@@ -305,7 +349,8 @@ def test_dense_views_are_read_by_the_oracles_only(monkeypatch):
 
     # references through the dense operators
     H, S = ext.hamiltonian, clock.S_op
-    lam, W = ext.eigensystem()
+    lam, _ = ext.eigensystem()
+    W = ext.eigenvectors(np.arange(ext.dim))
     mu, U = np.linalg.eigh(S)
 
     def dense_evolve(vec, theta):

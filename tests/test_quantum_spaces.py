@@ -13,8 +13,10 @@ from chronolab import (
     build_extended,
     build_system_space,
     gaussian_clock_state,
+    parse_config,
     quantum,
 )
+from chronolab.scenarios import run_scenario
 from chronolab.quantum import verify_kronecker_spectrum
 
 
@@ -281,7 +283,8 @@ def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, seed)
     ext = build_extended(system, build_clock(M, 0.3, sigma=sigma))
     H = ext.hamiltonian
     scale = max(1.0, float(np.linalg.norm(H, np.inf)))
-    lam, W = ext.eigensystem()
+    lam, _ = ext.eigensystem()
+    W = ext.eigenvectors(np.arange(ext.dim))
     assert np.all(np.diff(lam) >= 0)
     assert np.max(np.abs(lam - np.linalg.eigvalsh(H))) <= 1e-12 * scale
     assert np.max(np.abs(W.conj().T @ W - np.eye(ext.dim))) <= 1e-12
@@ -330,3 +333,52 @@ def test_components_follow_the_symmetric_zero_pattern():
     one_sided = np.eye(3, dtype=complex)
     one_sided[2, 0] = 1.0  # only the lower triangle links rows 0 and 2
     assert [list(rows) for rows in quantum._connected_components(one_sided)] == [[0, 2], [1]]
+
+
+def test_eigenvectors_reads_any_one_dimensional_index():
+    ext = build_extended(build_system_space(np.diag([0.0, 0.4, 1.1])), build_clock(8, 0.5))
+    lam, blocks = ext.eigensystem()
+    W = np.zeros((ext.dim, ext.dim), dtype=complex)
+    for rows, cols, vectors in blocks:
+        W[np.ix_(rows, cols)] = vectors
+    assert np.array_equal(ext.eigenvectors(np.arange(ext.dim)), W)
+    assert np.array_equal(ext.eigenvectors([-1, 0]), W[:, [-1, 0]])
+    assert np.array_equal(ext.eigenvectors(slice(2, 9, 3)), W[:, 2:9:3])
+    assert ext.eigenvectors([]).shape == (ext.dim, 0)
+    with pytest.raises(IndexError):
+        ext.eigenvectors([ext.dim])
+
+
+STEP = 2 * np.pi / (32 * 0.25)
+TOY_DENSE_GRID = f"""
+scenario = toy_dense_grid
+suites = quantum-equivalence, constraint-solve, povm-audit, time-distribution, covariance
+seed = 11
+system.kind = explicit-matrix
+system.energies = {', '.join(repr(-k * STEP) for k in (-9, -2, 3, 8))}
+clock.M = 32
+clock.deltaT = 0.25
+constraint.expected_dim = 4
+"""
+
+
+def test_a_dense_grid_run_keeps_its_eigenvectors_in_their_blocks(monkeypatch):
+    built = []
+    original = quantum.build_extended
+
+    def build_extended(system, clock):
+        built.append(original(system, clock))
+        return built[-1]
+
+    monkeypatch.setattr(quantum, "build_extended", build_extended)
+    assert run_scenario(parse_config(TOY_DENSE_GRID)).passed
+    decomposed = [ext for ext in built if ext._eig is not None]
+    assert len(decomposed) == 1
+    ext = decomposed[0]
+    lam, blocks = ext._eig
+    assert len(blocks) == 4  # one block per level
+    arrays = [lam] + [arr for block in blocks for arr in block]
+    assert all(max(arr.shape) < ext.dim for arr in arrays[1:]) and lam.shape == (ext.dim,)
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert np.array_equal(np.sort(np.concatenate([cols for _, cols, _ in blocks])),
+                          np.arange(ext.dim))

@@ -233,21 +233,6 @@ system.kind = oscillator
 system.n_levels = 100
 clock.M = 1024
 """, "exceeds the dense-solver budget"),
-    ("povm-audit", """
-scenario = colliding
-system.kind = qubit
-system.energies = 0.0, 0.0
-clock.M = 16
-clock.deltaT = 0.5
-""", "matched frequencies must be distinct"),
-    ("time-distribution", """
-scenario = empty
-system.kind = qubit
-system.energies = 0.3, 0.7
-clock.M = 16
-clock.deltaT = 0.5
-tolerances.eps_match = 0.01
-""", "the physical subspace is empty"),
     ("quantum-equivalence", """
 scenario = tiny_step
 system.kind = qubit
@@ -261,14 +246,80 @@ system.n_levels = 1000000000
 """, "exceeds the dense-solver budget"),
     ("quantum-equivalence", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
     ("constraint-solve", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
-], ids=["oversized", "colliding-frequencies", "empty-subspace", "tiny-deltaT",
-        "huge-n-levels", "overflowing-phase-quantum", "overflowing-phase-constraint"])
+], ids=["oversized", "tiny-deltaT", "huge-n-levels", "overflowing-phase-quantum",
+        "overflowing-phase-constraint"])
 def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     cfg_path = tmp_path / "input.cfg"
     cfg_path.write_text(text)
     code = main([command, "--config", str(cfg_path)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+CONFIG_DIR = Path(quantum.__file__).parent / "configs"
+
+
+def bundled_with(name, key, value):
+    """The text of bundled config `name` with `key` set to `value`."""
+    lines = (CONFIG_DIR / name).read_text(encoding="utf-8").splitlines()
+    return "\n".join([line for line in lines if not line.startswith(key + " ")]
+                     + [f"{key} = {value}"]) + "\n"
+
+
+SNAPPED_COLLISION = bundled_with("04_oscillator_snapped.cfg", "system.omega", "0.01")
+INCOMMENSURATE_EMPTY = bundled_with("05_incommensurate_demo.cfg", "system.energies",
+                                    "0.19634954084936207, 0.5890486225480862")
+
+
+# valid configs whose physics leaves no time POVM: "invalid input" means the
+# config, so each is one failing check with a note (exit 1), not exit 2; every
+# warning is an error under pytest, as under PYTHONWARNINGS=error
+@pytest.mark.parametrize("command, text, check_id", [
+    ("povm-audit", """
+scenario = colliding
+system.kind = qubit
+system.energies = 0.0, 0.0
+clock.M = 16
+clock.deltaT = 0.5
+""", "povm.shared_matched_frequencies"),
+    ("time-distribution", """
+scenario = empty
+system.kind = qubit
+system.energies = 0.3, 0.7
+clock.M = 16
+clock.deltaT = 0.5
+tolerances.eps_match = 0.01
+""", "distribution.physical_dim"),
+    ("povm-audit", SNAPPED_COLLISION, "povm.shared_matched_frequencies"),
+    ("time-distribution", SNAPPED_COLLISION, "distribution.shared_matched_frequencies"),
+    ("povm-audit", INCOMMENSURATE_EMPTY, "povm.physical_dim"),
+    ("time-distribution", INCOMMENSURATE_EMPTY, "distribution.physical_dim"),
+], ids=["colliding-frequencies", "empty-subspace", "snapped-collision-povm",
+        "snapped-collision-distribution", "incommensurate-empty-povm",
+        "incommensurate-empty-distribution"])
+def test_cli_degenerate_physics_is_a_failing_check(tmp_path, capsys, command, text,
+                                                   check_id):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(text)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    failed = [r for r in report["records"] if not r["passed"]]
+    assert [r["check_id"] for r in failed] == [check_id]
+    assert "no time POVM" in failed[0]["note"]
+    assert f"[FAIL] {check_id}" in captured.out
+    assert not list((tmp_path / "out").glob("*.povm.json"))
+
+
+def test_time_distribution_alone_writes_what_it_computed(tmp_path):
+    code = main(["time-distribution", "--config", str(CONFIG_DIR / "03_qubit_commensurate.cfg"),
+                 "--out", str(tmp_path), "--format", "csv"])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "qubit_commensurate.dist.single_pair.csv", "qubit_commensurate.dist.two_pair.csv",
+        "qubit_commensurate.report.json", "qubit_commensurate.subspace.json"]
 
 
 @pytest.mark.parametrize("name, out, message", [
@@ -291,15 +342,22 @@ def test_cli_artifact_path_error_exit_code(tmp_path, monkeypatch, capsys, name, 
 @pytest.mark.parametrize("text, code, message", [
     ("""
 scenario = bad
+suites = constraint-solve
+system.kind = oscillator
+system.n_levels = 100
+clock.M = 1024
+""", 2, "exceeds the dense-solver budget"),
+    ("scenario = broken\nsystem.kind = qubit\nfoo = 1\n", 2, "unknown key"),
+    (QUBIT.replace("constraint.expected_dim = 2", "constraint.expected_dim = 5"), 1, ""),
+    ("""
+scenario = degenerate
 suites = povm-audit
 system.kind = explicit-matrix
 system.energies = 0.0, 0.0
 clock.M = 16
 clock.deltaT = 0.5
-""", 2, "matched frequencies must be distinct"),
-    ("scenario = broken\nsystem.kind = qubit\nfoo = 1\n", 2, "unknown key"),
-    (QUBIT.replace("constraint.expected_dim = 2", "constraint.expected_dim = 5"), 1, ""),
-], ids=["invalid-input", "config-error", "check-failure"])
+""", 1, ""),
+], ids=["invalid-input", "config-error", "check-failure", "degenerate-physics"])
 def test_cli_all_isolates_the_extra_scenario(tmp_path, capsys, text, code, message):
     cfg_path = tmp_path / "extra.cfg"
     cfg_path.write_text(text)
@@ -616,9 +674,9 @@ def _bounded(text):
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(command=st.sampled_from(SUITE_NAMES), text=config_texts())
-# well-formed but degenerate physics, one per error exit: colliding levels
-# and an empty physical subspace (exit 2), a stiff oscillator (exit 3); and
-# a level at the float limit, snapped onto the grid
+# well-formed but degenerate physics: colliding levels and an empty
+# physical subspace (failing checks, exit 1), a stiff oscillator (exit 3);
+# and a level at the float limit, snapped onto the grid
 @example(command="povm-audit", text=QUBIT.replace("0.0, 3.141592653589793", "0.0, 0.0"))
 @example(command="povm-audit",
          text=QUBIT.replace("0.0, 3.141592653589793", "1e308, 0.0") + "system.snap = true\n")
