@@ -111,15 +111,17 @@ class ExtendedPhaseState:
 class HamiltonianSystem:
     """Autonomous system: energy H(q, p), its vector field and a label.
 
-    `energy` takes length-n float arrays.  `velocity` is the Hamiltonian
+    `energy` takes stacked points, two (..., n) float arrays, and returns
+    the (...) array of their energies.  `velocity` is the Hamiltonian
     vector field (q, p) -> (dH/dp, -dH/dq): on Python floats when n == 1,
     on length-n float arrays otherwise; the midpoint loop steps the same
-    kind.  The field is probe-checked against central differences of the
-    energy at construction; a mismatch raises InvalidInputError.
+    kind.  At construction the field is probe-checked against central
+    differences of the energy, read in one stacked call; a mismatch, or an
+    energy that cannot take the stack, raises InvalidInputError.
     """
 
     n: int
-    energy: Callable[[np.ndarray, np.ndarray], float]
+    energy: Callable[[np.ndarray, np.ndarray], np.ndarray]
     velocity: Callable
     label: str
 
@@ -130,16 +132,31 @@ class HamiltonianSystem:
 
     def _probe_velocity(self):
         rng = np.random.default_rng(_VELOCITY_PROBE_SEED)
-        h = _VELOCITY_PROBE_STEP
-        for _ in range(_VELOCITY_PROBE_POINTS):
-            q = rng.normal(size=self.n)
-            p = rng.normal(size=self.n)
-            field = self.velocity(float(q[0]), float(p[0])) if self.n == 1 else self.velocity(q, p)
-            vq, vp = (np.asarray(v, dtype=float).reshape(self.n) for v in field)
-            for i, shift in enumerate(h * np.eye(self.n)):
-                dq = (self.energy(q, p + shift) - self.energy(q, p - shift)) / (2 * h)
-                dp = -(self.energy(q + shift, p) - self.energy(q - shift, p)) / (2 * h)
-                for name, v, fd in (("dq", vq[i], dq), ("dp", vp[i], dp)):
+        h, n = _VELOCITY_PROBE_STEP, self.n
+        q, p = np.moveaxis(rng.normal(size=(_VELOCITY_PROBE_POINTS, 2, n)), 1, 0)
+        # probe axes: point, shifted block (q or p), sign of the shift, i, coordinate
+        shift = np.array([1.0, -1.0])[:, None, None] * (h * np.eye(n))
+        zero = np.zeros_like(shift)
+        stack = (q[:, None, None, None] + np.stack([shift, zero]),
+                 p[:, None, None, None] + np.stack([zero, shift]))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                energies = np.asarray(self.energy(*stack), dtype=float)
+                if energies.shape != stack[0].shape[:-1]:
+                    raise ValueError(f"got shape {energies.shape}")
+                grad = (energies[:, :, 0] - energies[:, :, 1]) / (2 * h)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InvalidInputError(f"energy of '{self.label}' must map stacked (..., n) "
+                                    f"points to (...) energies: {exc}") from exc
+        if not np.all(np.isfinite(grad)):
+            raise InvalidInputError(f"energy of '{self.label}' overflows the float range")
+        grad_q, grad_p = grad.transpose(1, 0, 2)
+        for k in range(_VELOCITY_PROBE_POINTS):
+            field = (self.velocity(float(q[k, 0]), float(p[k, 0])) if n == 1
+                     else self.velocity(q[k], p[k]))
+            vq, vp = (np.asarray(v, dtype=float).reshape(n) for v in field)
+            for i in range(n):
+                for name, v, fd in (("dq", vq[i], grad_p[k, i]), ("dp", vp[i], -grad_q[k, i])):
                     if abs(fd - v) > _VELOCITY_PROBE_RTOL * max(1.0, abs(fd)):
                         raise InvalidInputError(
                             f"velocity of '{self.label}' disagrees with finite differences "
@@ -157,11 +174,9 @@ class ExtendedSystem:
     inner: HamiltonianSystem
 
     def energy(self, y: ExtendedPhaseState) -> float:
-        if y.n != self.inner.n:
-            raise InvalidInputError(
-                f"state dimension {y.n} does not match system dimension {self.inner.n}"
-            )
-        return float(self.inner.energy(y.base.q, y.base.p)) + y.S
+        """H + S at y; an H past the float range raises InvalidInputError."""
+        # the lift of (q, p) onto H + S = 0 checks the point and carries S = -H
+        return y.S - extend_state(self.inner, y.base, y.T).S
 
 
 def harmonic_oscillator(omega: float = 1.0) -> HamiltonianSystem:
@@ -172,7 +187,7 @@ def harmonic_oscillator(omega: float = 1.0) -> HamiltonianSystem:
     w2 = omega * omega
 
     def energy(q, p):
-        return 0.5 * float(p[0]) ** 2 + 0.5 * w2 * float(q[0]) ** 2
+        return 0.5 * p[..., 0] ** 2 + 0.5 * w2 * q[..., 0] ** 2
 
     def velocity(q, p):
         return p, -w2 * q
@@ -184,7 +199,7 @@ def free_particle() -> HamiltonianSystem:
     """H = p^2/2."""
 
     def energy(q, p):
-        return 0.5 * float(p[0]) ** 2
+        return 0.5 * p[..., 0] ** 2
 
     def velocity(q, p):
         return p, 0.0
@@ -196,7 +211,7 @@ def quartic_oscillator() -> HamiltonianSystem:
     """H = p^2/2 + q^4/4, the nonlinear stressor without a closed-form flow."""
 
     def energy(q, p):
-        return 0.5 * float(p[0]) ** 2 + 0.25 * float(q[0]) ** 4
+        return 0.5 * p[..., 0] ** 2 + 0.25 * q[..., 0] ** 4
 
     def velocity(q, p):
         return p, -q * q * q
@@ -213,10 +228,10 @@ def extend_state(system: HamiltonianSystem, x: PhaseState, t0: float) -> Extende
         raise InvalidInputError(
             f"state dimension {x.n} does not match system dimension {system.n}"
         )
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns; checked below
         energy = float(system.energy(x.q, x.p))
-    except OverflowError as exc:
-        raise InvalidInputError(f"energy of '{system.label}' overflows the float range") from exc
+    if not math.isfinite(energy):
+        raise InvalidInputError(f"energy of '{system.label}' overflows the float range")
     return ExtendedPhaseState(base=x, T=float(t0), S=-energy)
 
 
@@ -245,16 +260,16 @@ def coordinate(name: str, index: int = 0):
 
 
 def _probe_points(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rows x + h_i e_i for every coordinate i, then x - h_i e_i.
-
-    The rows form one read-only array, checked for finiteness once.
+    """Rows x + h_i e_i for every coordinate i, then x - h_i e_i, for each
+    point x of the (B, dim) stack: a read-only (B, 2 dim, dim) array,
+    checked for finiteness once.
     """
-    dim = x.size
-    probes = np.tile(x, (2 * dim, 1))
+    dim = x.shape[1]
+    probes = np.repeat(x[:, None], 2 * dim, axis=1)
     diag = np.arange(dim)
-    with np.errstate(over="ignore"):  # an overflow is the error raised below
-        probes[diag, diag] += h
-        probes[dim + diag, diag] -= h
+    with np.errstate(over="ignore", invalid="ignore"):  # the error raised below
+        probes[:, diag, diag] += h
+        probes[:, dim + diag, diag] -= h
     if not np.all(np.isfinite(probes)):
         raise InvalidInputError("bracket probe point contains non-finite entries")
     probes.setflags(write=False)
@@ -262,45 +277,54 @@ def _probe_points(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _central_differences(fun, probes: np.ndarray, h: np.ndarray) -> np.ndarray:
-    values = np.array([fun(row) for row in probes], dtype=float)
-    grad = (values[:h.size] - values[h.size:]) / (2 * h)
+    dim = h.shape[1]
+    values = np.array([fun(row) for row in probes.reshape(-1, dim)], float).reshape(-1, 2 * dim)
+    grad = (values[:, :dim] - values[:, dim:]) / (2 * h)
     if not np.all(np.isfinite(grad)):
         raise NumericalFailureError("non-finite derivative in bracket evaluation")
     return grad
 
 
-def poisson_bracket(f, g, y: ExtendedPhaseState, rel_step: float = 1e-5):
+def poisson_bracket(f, g, y: ExtendedPhaseState | np.ndarray, rel_step: float = 1e-5):
     """{f, g} at y over all n+1 canonical pairs, including (T, S).
 
     f and g are functions of the flat point [q_1..q_n, p_1..p_n, T, S],
     giving a float, or equal-length sequences of them, giving the float
-    array {f_k, g_k}.  Partial derivatives are central differences with
-    step rel_step * max(1, |coordinate|) on one set of 2(2n+2) probe rows,
-    where each distinct function is read once.  A probe that leaves the
-    finite range raises InvalidInputError.
+    array {f_k, g_k}.  y is an ExtendedPhaseState or a (B, 2n+2) array of
+    flat points, which adds a leading B axis, bit-identical to B single
+    calls.  Partial derivatives are central differences with step
+    rel_step * max(1, |coordinate|) on one stack of 2(2n+2) probe rows per
+    point, each distinct function read once per row.  A probe that leaves
+    the finite range raises InvalidInputError.
     """
     scalar = callable(f) and callable(g)
     fs, gs = ((f,), (g,)) if scalar else (f, g)
     if callable(fs) or callable(gs) or len(fs) != len(gs) or len(fs) == 0:
         raise InvalidInputError("f and g must be two functions or two equal-length, "
                                 "non-empty sequences of functions")
-    n = y.n
-    x = np.concatenate([y.base.q, y.base.p, [y.T, y.S]])
+    single = isinstance(y, ExtendedPhaseState)
+    x = np.concatenate([y.base.q, y.base.p, [y.T, y.S]])[None] if single else np.asarray(y, float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 4 or x.shape[1] % 2:
+        raise InvalidInputError("bracket points must form a (B, 2n+2) array, B >= 1, n >= 1")
+    n = x.shape[1] // 2 - 1
     h = rel_step * np.maximum(1.0, np.abs(x))
     probes = _probe_points(x, h)
     # T plays q_{n+1} and S plays p_{n+1}
     q_index = np.r_[0:n, 2 * n]
     p_index = np.r_[n:2 * n, 2 * n + 1]
-    split = {}  # id(function) -> its partial derivatives as (d/dq, d/dp)
+    split = {}  # id(function) -> its partial derivatives as (d/dq, d/dp), (B, n+1) each
     for fun in itertools.chain.from_iterable(zip(fs, gs)):
         if id(fun) not in split:
             d = _central_differences(fun, probes, h)
-            split[id(fun)] = (d[q_index], d[p_index])
+            split[id(fun)] = (d[:, q_index], d[:, p_index])
     values = []
     for fk, gk in zip(fs, gs):
         (dfq, dfp), (dgq, dgp) = split[id(fk)], split[id(gk)]
-        values.append(float(np.dot(dfq, dgp) - np.dot(dfp, dgq)))
-    return values[0] if scalar else np.array(values)
+        # B batched (1, n+1) @ (n+1, 1) products: numpy's dot kernel per point
+        values.append((dfq[:, None] @ dgp[..., None] - dfp[:, None] @ dgq[..., None])[:, 0, 0])
+    values = np.stack(values, axis=-1)  # (B, K)
+    values = values[:, 0] if scalar else values
+    return (float(values[0]) if scalar else values[0]) if single else values
 
 
 @dataclass(frozen=True)
@@ -389,9 +413,10 @@ def _midpoint(velocity, q, p, nsteps, dt, finite, sup):
     third step on, the fixed-point iteration starts at the quadratic
     extrapolation through the last three grid points instead of at (q, p),
     which saves about two velocity calls per step (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, VIII.6).  A float field that raises
-    OverflowError diverges like a non-finite state.  Returns the lists of q
-    and of p on the nsteps + 1 grid points.
+    Geometric Numerical Integration, VIII.6).  A sweep tests convergence
+    first (a gap <= MIDPOINT_TOL implies finite iterates), then `finite`; a
+    non-finite iterate, or a float field that raises OverflowError, is a
+    divergence.  Returns the lists of q and p on the nsteps + 1 grid points.
     """
     qs = [q]
     ps = [p]
@@ -407,20 +432,19 @@ def _midpoint(velocity, q, p, nsteps, dt, finite, sup):
                 fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
                 qn = q + dt * fq
                 pn = p + dt * fp
+                if sup(qn - qa) <= MIDPOINT_TOL and sup(pn - pa) <= MIDPOINT_TOL:
+                    break
                 if not (finite(qn) and finite(pn)):
                     raise DivergenceError(f"non-finite state at step {step}", step=step)
-                delta = max(sup(qn - qa), sup(pn - pa))
                 qa = qn
                 pa = pn
-                if delta <= MIDPOINT_TOL:
-                    break
             else:
                 raise NumericalFailureError(
                     f"implicit-midpoint iteration stalled at step {step} "
                     f"(max {MIDPOINT_MAX_ITER} iterations)"
                 )
-            q = qa
-            p = pa
+            q = qn
+            p = pn
             qs.append(q)
             ps.append(p)
     except OverflowError as exc:
@@ -498,7 +522,7 @@ def check_equivalence(orig: Trajectory, ext: Trajectory,
     """Compare an original-flow trajectory with an extended-flow one.
 
     Both trajectories must share the parameter grid (same length and step);
-    `system` supplies the energy for the constraint channel.
+    `system` supplies the energy of the constraint channel, in one call.
     """
     if ext.Ts is None or ext.Ss is None:
         raise InvalidInputError("second trajectory must carry the (T, S) channels")
@@ -514,7 +538,7 @@ def check_equivalence(orig: Trajectory, ext: Trajectory,
     dev = np.sqrt(
         np.sum((orig.qs - ext.qs) ** 2, axis=1) + np.sum((orig.ps - ext.ps) ** 2, axis=1)
     )
-    energies = np.array([system.energy(ext.qs[k], ext.ps[k]) for k in range(ext.params.size)])
+    energies = system.energy(ext.qs, ext.ps)
     slope_residual = ext.Ts - ext.Ts[0] - ext.params
     return EquivalenceReport(
         max_state_deviation=float(np.max(dev)),

@@ -126,7 +126,8 @@ def reference_bracket(f, g, y, rel_step=1e-5):
 
 def anharmonic_system(n):
     def energy(q, p):
-        return 0.5 * float(p @ p) + 0.5 * float(q @ q) + 0.25 * float(q @ q) ** 2
+        qq = np.sum(q * q, axis=-1)
+        return 0.5 * np.sum(p * p, axis=-1) + 0.5 * qq + 0.25 * qq ** 2
 
     def velocity(q, p):
         return p.copy(), -q * (1.0 + float(q @ q))
@@ -262,3 +263,70 @@ def test_overflowing_probe_raises_invalid_input(q, rel_step):
         reference_bracket(f, g, y, rel_step)
     with pytest.raises(InvalidInputError):
         poisson_bracket(f, g, y, rel_step)
+
+
+def as_state(x):
+    n = (x.size - 2) // 2
+    return ExtendedPhaseState(base=PhaseState(q=x[:n], p=x[n:2 * n]), T=x[-2], S=x[-1])
+
+
+@st.composite
+def stacked_bracket_cases(draw):
+    """B flat points of one dimension n in {1, 2, 3}, and 1-4 pairs of
+    functions: coordinates, or the nonlinear H_ex of an anharmonic system."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    B = draw(st.integers(1, 5))
+    dim = 2 * n + 2
+    points = np.array(draw(st.lists(coords, min_size=B * dim, max_size=B * dim)))
+    h_ex = extended_hamiltonian(quartic_oscillator() if n == 1 else anharmonic_system(n))
+
+    def function():
+        name = draw(st.sampled_from(("q", "p", "T", "S", "H_ex")))
+        return h_ex if name == "H_ex" else coordinate(name, draw(st.integers(0, n - 1)))
+
+    pairs = [(function(), function()) for _ in range(draw(st.integers(1, 4)))]
+    return pairs, points.reshape(B, dim)
+
+
+@PROPERTY_SETTINGS
+@given(stacked_bracket_cases())
+def test_stacked_points_match_single_point_calls_bit_for_bit(case):
+    pairs, points = case
+    states = [as_state(x) for x in points]
+    f, g = pairs[0]
+    values = poisson_bracket(f, g, points)
+    assert values.shape == (len(points),)
+    assert values.tobytes() == np.array([poisson_bracket(f, g, y) for y in states]).tobytes()
+    fs, gs = (list(side) for side in zip(*pairs))
+    table = poisson_bracket(fs, gs, points)
+    assert table.shape == (len(points), len(pairs))
+    assert table.tobytes() == np.array([poisson_bracket(fs, gs, y) for y in states]).tobytes()
+
+
+def test_stacked_points_read_each_function_once_per_probe_row():
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return x[-2] * x[-1] + x[1]
+
+    points = np.random.default_rng(13).normal(size=(7, 6))
+    poisson_bracket([record, record], [coordinate("q", 1), record], points)
+    assert len(seen) == 7 * 2 * 6
+    assert all(x.shape == (6,) and not x.flags.writeable for x in seen)
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros(4), np.zeros((0, 4)), np.zeros((2, 2)), np.zeros((2, 5)), np.zeros((1, 2, 4)),
+], ids=["one-point-1d", "no-points", "no-dof", "odd-width", "three-axes"])
+def test_stacked_form_rejects_malformed_point_arrays(points):
+    with pytest.raises(InvalidInputError):
+        poisson_bracket(coordinate("T"), coordinate("S"), points)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stacked_form_rejects_a_non_finite_point(bad):
+    points = np.zeros((3, 4))
+    points[1, 2] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        poisson_bracket(coordinate("T"), coordinate("S"), points)

@@ -88,7 +88,7 @@ def test_extend_state_is_exact_for_many_points():
 
 
 def _harmonic_energy(q, p):
-    return 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2
+    return 0.5 * p[..., 0] ** 2 + 0.5 * q[..., 0] ** 2
 
 
 def test_gradient_probe_rejects_wrong_gradient():
@@ -105,9 +105,50 @@ def test_velocity_probe_rejects_a_field_that_disagrees_with_the_gradient():
             HamiltonianSystem(1, _harmonic_energy, bad, "broken")
 
 
+def test_builtin_energies_take_stacked_points():
+    rng = np.random.default_rng(19)
+    q, p = rng.normal(size=(2, 3, 5, 1))
+    for system in (harmonic_oscillator(0.7), free_particle(), quartic_oscillator()):
+        stacked = system.energy(q, p)
+        rows = [[system.energy(q[i, j], p[i, j]) for j in range(5)] for i in range(3)]
+        assert stacked.shape == (3, 5)
+        assert np.array_equal(stacked, np.array(rows))
+
+
+@pytest.mark.parametrize("n, energy", [
+    (1, lambda q, p: 0.5 * float(p[0]) ** 2 + 0.5 * float(q[0]) ** 2),
+    (1, lambda q, p: 0.5 * float(np.sum(p * p)) + 0.5 * float(np.sum(q * q))),
+    (2, lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ q)),
+], ids=["indexes-one-point", "sums-the-stack", "dots-one-point"])
+def test_an_energy_of_one_point_only_is_rejected(n, energy):
+    def velocity(q, p):
+        return (p, -q) if n == 1 else (p.copy(), -q)
+
+    with pytest.raises(InvalidInputError, match="stacked"):
+        HamiltonianSystem(n, energy, velocity, "per-point")
+
+
+def test_an_overflowing_energy_is_invalid_input_at_one_point():
+    # numpy only warns on the overflow, and every warning is an error here
+    y = ExtendedPhaseState(base=PhaseState(q=[1e200], p=[0.0]), T=0.0, S=0.0)
+    for system in (harmonic_oscillator(), quartic_oscillator()):
+        with pytest.raises(InvalidInputError, match="overflows the float range"):
+            extend_state(system, y.base, 0.0)
+        with pytest.raises(InvalidInputError, match="overflows the float range"):
+            system.extended().energy(y)
+
+
+def test_an_energy_that_overflows_at_the_probe_points_is_invalid_input():
+    # omega^2 overflows to inf, and inf - inf would only warn; every
+    # warning is an error under pytest, as under PYTHONWARNINGS=error
+    with pytest.raises(InvalidInputError, match="overflows the float range"):
+        harmonic_oscillator(1e200)
+
+
 def test_velocity_probe_accepts_two_dof_system():
     def energy(q, p):
-        return 0.5 * float(p @ p) + 0.5 * float(q @ q) + float(q[0] * q[1])
+        return (0.5 * np.sum(p * p, axis=-1) + 0.5 * np.sum(q * q, axis=-1)
+                + q[..., 0] * q[..., 1])
 
     def velocity(q, p):
         return p.copy(), -np.array([q[0] + q[1], q[1] + q[0]])
@@ -135,8 +176,8 @@ def test_velocity_probe_on_quadratic_forms(case):
     n, A, k = case
 
     def energy(q, p):
-        z = np.concatenate([q, p])
-        return 0.5 * float(z @ A @ z)
+        z = np.concatenate([q, p], axis=-1)
+        return 0.5 * np.einsum("...i,ij,...j->...", z, A, z)
 
     def scaled_field(factor):
         """The exact field (dH/dp, -dH/dq) with component k times `factor`."""

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from chronolab import (
+    HamiltonianSystem,
     InvalidInputError,
     PhaseState,
     check_equivalence,
@@ -76,3 +78,27 @@ def test_argument_roles_are_checked():
     orig = integrate_original(system, x0, 1.0, 1e-3)
     with pytest.raises(InvalidInputError):
         check_equivalence(orig, orig, system)
+
+
+def iso_2d():
+    def energy(q, p):
+        return 0.5 * np.sum(p * p, axis=-1) + 0.5 * np.sum(q * q, axis=-1)
+
+    def velocity(q, p):
+        return p.copy(), -q
+
+    return HamiltonianSystem(2, energy, velocity, "iso-2d")
+
+
+@pytest.mark.parametrize("system, x0", [
+    (harmonic_oscillator(1.3), PhaseState(q=[1.0], p=[-0.5])),
+    (free_particle(), PhaseState(q=[0.0], p=[1.0])),
+    (quartic_oscillator(), PhaseState(q=[1.0], p=[0.0])),
+    (iso_2d(), PhaseState(q=[0.3, -1.2], p=[0.7, 0.0])),
+], ids=["harmonic", "free", "quartic", "iso-2d"])
+def test_constraint_channel_matches_a_per_point_loop(system, x0):
+    orig, ext = run_pair(system, x0, t_end=1.0)
+    report = check_equivalence(orig, ext, system)
+    per_point = max(abs(ext.Ss[k] + system.energy(ext.qs[k], ext.ps[k]))
+                    for k in range(ext.params.size))
+    assert report.max_constraint_residual == per_point

@@ -83,7 +83,7 @@ def test_array_path_matches_float_path_per_dof():
     w2 = omegas * omegas
 
     def energy(q, p):
-        return 0.5 * float(p @ p) + 0.5 * float(w2 @ (q * q))
+        return 0.5 * np.sum(p * p, axis=-1) + 0.5 * (q * q) @ w2
 
     def velocity(q, p):
         return p.copy(), -w2 * q
@@ -193,7 +193,7 @@ def test_velocity_calls_per_step_on_bundled_configs(scenario, make):
 
 def test_divergence_reports_step_index():
     def energy(q, p):
-        return 1e4 * (float(q[0]) ** 2 + float(p[0]) ** 2) ** 2
+        return 1e4 * (q[..., 0] ** 2 + p[..., 0] ** 2) ** 2
 
     def velocity(q, p):
         # float `**` raises OverflowError where float products give inf
@@ -205,6 +205,61 @@ def test_divergence_reports_step_index():
         integrate_original(system, PhaseState(q=[1.0], p=[1.0]), 10.0, 1.0)
     assert info.value.step >= 0
     assert isinstance(info.value.__cause__, OverflowError)
+
+
+def finite_first_divergence(velocity, q, p, nsteps, dt, finite, sup, tol=1e-13, max_iter=50):
+    """(step, velocity calls) at the first non-finite iterate of midpoint
+    stepping that tests finiteness ahead of convergence, or (None, calls)."""
+    qs, ps, calls = [q], [p], 0
+    for step in range(nsteps):
+        qa, pa = (3 * (q - qs[-2]) + qs[-3], 3 * (p - ps[-2]) + ps[-3]) if step >= 2 else (q, p)
+        for _ in range(max_iter):
+            fq, fp = velocity(0.5 * (q + qa), 0.5 * (p + pa))
+            calls += 1
+            qn, pn = q + dt * fq, p + dt * fp
+            if not (finite(qn) and finite(pn)):
+                return step, calls
+            delta = max(sup(qn - qa), sup(pn - pa))
+            qa, pa = qn, pn
+            if delta <= tol:
+                break
+        q, p = qa, pa
+        qs.append(q)
+        ps.append(p)
+    return None, calls
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_non_finite_iterate_diverges_at_the_same_step(n, bad):
+    # a free particle whose field turns non-finite past q_1 = 10, met near step 100;
+    # the float path for n == 1, the array path for n == 2
+    calls = []
+
+    def velocity(q, p):
+        calls.append(None)
+        if n == 1:
+            return (p if q < 10.0 else bad), 0.0
+        return (p.copy() if q[0] < 10.0 else np.full(n, bad)), np.zeros(n)
+
+    def energy(q, p):
+        return 0.5 * np.sum(p * p, axis=-1)
+
+    system = HamiltonianSystem(n, energy, velocity, "wall")
+    calls.clear()  # drop the construction-time probe calls
+    x0 = PhaseState(q=np.zeros(n), p=np.ones(n))
+    with pytest.raises(DivergenceError) as info:
+        integrate_original(system, x0, 20.0, 0.1)
+    sweeps = len(calls)
+    if n == 1:
+        expected = finite_first_divergence(velocity, 0.0, 1.0, 200, 0.1, math.isfinite, abs)
+    else:
+        expected = finite_first_divergence(velocity, x0.q, x0.p, 200, 0.1,
+                                           lambda b: bool(np.all(np.isfinite(b))),
+                                           lambda b: np.max(np.abs(b)))
+    assert 90 < expected[0] < 110
+    assert (info.value.step, sweeps) == expected
+    assert info.value.__cause__ is None
 
 
 def test_stalled_iteration_raises_numerical_failure():
@@ -295,7 +350,7 @@ def reference_csv(traj, path):
 
 def iso_2d():
     def energy(q, p):
-        return 0.5 * float(p @ p) + 0.5 * float(q @ q)
+        return 0.5 * np.sum(p * p, axis=-1) + 0.5 * np.sum(q * q, axis=-1)
 
     def velocity(q, p):
         return p.copy(), -q

@@ -256,6 +256,25 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     assert message in capsys.readouterr().err
 
 
+# an initial point whose energy overflows: numpy only warns on the overflow,
+# so the warning must neither escape nor change the exit code
+@pytest.mark.parametrize("text", [
+    "scenario = far\nsystem.kind = oscillator\nclassical.q0 = 1e200\n",
+    "scenario = fast\nsystem.kind = free-particle\nclassical.p0 = 1e200\n",
+], ids=["oscillator-q0", "free-particle-p0"])
+def test_cli_overflowing_initial_energy_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main(["classical-equivalence", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "overflows the float range" in err
+    assert "Traceback" not in err
+
+
 CONFIG_DIR = Path(quantum.__file__).parent / "configs"
 
 
@@ -311,6 +330,29 @@ def test_cli_degenerate_physics_is_a_failing_check(tmp_path, capsys, command, te
     assert "no time POVM" in failed[0]["note"]
     assert f"[FAIL] {check_id}" in captured.out
     assert not list((tmp_path / "out").glob("*.povm.json"))
+
+
+# the upper level matches the edge frequency k = -M/2, which has no partner
+# +M/2 under the opposite sign: one failing check with both pair counts
+EDGE_SIGN_PAIR = bundled_with("06_sign_pair.cfg", "system.energies", "0.0, 12.566370614359172")
+
+
+def test_cli_sign_pair_on_the_edge_frequency_is_a_failing_check(tmp_path, capsys):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(EDGE_SIGN_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main(["povm-audit", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    failed = [r for r in report["records"] if not r["passed"]]
+    assert [(r["check_id"], r["value"], r["threshold"]) for r in failed] == [
+        ("povm.sigma_pair_matched_pairs", 1.0, 2.0)]
+    assert "2 matched pairs under sigma = 1, 1 under the opposite sign" in failed[0]["note"]
+    ids = [r["check_id"] for r in report["records"]]
+    assert not any(i.startswith("povm.sigma_pair_") and i != failed[0]["check_id"] for i in ids)
 
 
 def test_time_distribution_alone_writes_what_it_computed(tmp_path):
