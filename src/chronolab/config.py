@@ -9,7 +9,8 @@ in a document is reported at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 from .classical import MAX_CLASSICAL_STEPS
 from .errors import ConfigError
@@ -52,7 +53,7 @@ class SystemConfig:
     kind: str = "qubit"
     n_levels: int = 2
     omega: float = 1.0
-    energies: tuple = ()
+    energies: tuple[float, ...] = ()
     snap: bool = False
 
 
@@ -74,8 +75,8 @@ class ToleranceConfig:
 class ClassicalConfig:
     dt: float = 1e-3
     t_end: float = TWO_PI
-    q0: tuple = (1.0,)
-    p0: tuple = (0.0,)
+    q0: tuple[float, ...] = (1.0,)
+    p0: tuple[float, ...] = (0.0,)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class ConstraintConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = "unnamed"
-    suites: tuple = ()
+    suites: tuple[str, ...] = ()
     seed: int = 0
     compare_sigmas: bool = False
     system: SystemConfig = field(default_factory=SystemConfig)
@@ -105,19 +106,11 @@ def _parse_bool(text):
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_int(text):
-    return int(text, 10)
-
-
 def _parse_float(text):
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("value must be finite")
     return value
-
-
-def _parse_name(text):
-    return text
 
 
 def _parse_float_list(text):
@@ -138,38 +131,31 @@ def _fmt(value):
     return str(value)
 
 
-# key -> (section, field, parser)
-_KEYS = {
-    "scenario": (None, "scenario", _parse_name),
-    "suites": (None, "suites", _parse_name_list),
-    "seed": (None, "seed", _parse_int),
-    "compare_sigmas": (None, "compare_sigmas", _parse_bool),
-    "system.kind": ("system", "kind", _parse_name),
-    "system.n_levels": ("system", "n_levels", _parse_int),
-    "system.omega": ("system", "omega", _parse_float),
-    "system.energies": ("system", "energies", _parse_float_list),
-    "system.snap": ("system", "snap", _parse_bool),
-    "clock.M": ("clock", "M", _parse_int),
-    "clock.deltaT": ("clock", "deltaT", _parse_float),
-    "clock.T0": ("clock", "T0", _parse_float),
-    "clock.sigma": ("clock", "sigma", _parse_int),
-    "tolerances.eps_match": ("tolerances", "eps_match", _parse_float),
-    "tolerances.constraint_drift": ("tolerances", "constraint_drift", _parse_float),
-    "classical.dt": ("classical", "dt", _parse_float),
-    "classical.t_end": ("classical", "t_end", _parse_float),
-    "classical.q0": ("classical", "q0", _parse_float_list),
-    "classical.p0": ("classical", "p0", _parse_float_list),
-    "constraint.expected_dim": ("constraint", "expected_dim", _parse_int),
-    "constraint.expect_misses": ("constraint", "expect_misses", _parse_bool),
-}
+# field type -> the parser of its values
+_PARSERS = {str: str, int: int, float: _parse_float, bool: _parse_bool,
+            tuple[float, ...]: _parse_float_list, tuple[str, ...]: _parse_name_list}
 
-_SECTIONS = {
-    "system": SystemConfig,
-    "clock": ClockConfig,
-    "tolerances": ToleranceConfig,
-    "classical": ClassicalConfig,
-    "constraint": ConstraintConfig,
-}
+_SECTIONS = {name: hint for name, hint in typing.get_type_hints(ScenarioConfig).items()
+             if is_dataclass(hint)}
+
+
+def _key_table() -> dict:
+    """key -> (section, field, parser), in field declaration order (the order
+    of `serialize_config`): a top-level field is its own key, a field of a
+    section is `section.field`.  A field type with no parser fails here."""
+    table = {}
+    for top, hint in typing.get_type_hints(ScenarioConfig).items():
+        section = top if top in _SECTIONS else None
+        for name, field_type in (typing.get_type_hints(hint).items() if section
+                                 else [(top, hint)]):
+            key = f"{section}.{name}" if section else name
+            if field_type not in _PARSERS:
+                raise TypeError(f"config key {key!r} has a type with no parser: {field_type!r}")
+            table[key] = (section, name, _PARSERS[field_type])
+    return table
+
+
+_KEYS = _key_table()  # built at import, so a field without a parser fails there
 
 
 def _validate(cfg: ScenarioConfig, problems: list):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
 from .quantum import (ExtendedSpace, SystemSpace, _eigenbasis_apply, _hex_apply,
-                      build_system_space, clock_marginal, evolve_extended, unit)
+                      build_system_space, clock_marginal, evolve_extended, separable_state,
+                      unit)
 
 __all__ = [
     "MatchedPair",
@@ -147,11 +148,10 @@ def solve_constraint_spectral(ext: ExtendedSpace, eps_match: float | None = None
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidInputError("eps_match must be positive and finite")
     pairs, misses = _match_levels(ext, eps)
-    dim = ext.dim
-    basis = np.zeros((dim, len(pairs)), dtype=complex)
-    for col, pair in enumerate(pairs):
-        basis[:, col] = np.kron(ext.system.eigenstate(pair.i),
-                                ext.clock.plane_wave(pair.k))
+    levels = [pair.i for pair in pairs]
+    waves = ext.clock.plane_wave(np.array([pair.k for pair in pairs], dtype=int))
+    # one product state per pair, a row each; the basis holds them as columns
+    basis = np.ascontiguousarray(separable_state(ext.system.vectors[:, levels].T, waves).T)
     return PhysicalSubspace(space=ext, basis=basis, pairs=tuple(pairs), eps=eps,
                             misses=tuple(misses), method="spectral")
 

@@ -147,13 +147,6 @@ class PMViolationReport:
     idempotency_defect: float
     worst_pair: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "orthogonality_defect": self.orthogonality_defect,
-            "idempotency_defect": self.idempotency_defect,
-            "worst_pair": list(self.worst_pair),
-        }
-
 
 def pm_violation_report(povm: TimePOVM) -> PMViolationReport:
     """max_{m != m'} ||E_m E_m'|| and max_m ||E_m^2 - E_m|| (spectral norms).

@@ -72,7 +72,7 @@ def separable_state(system_vec, clock_vec) -> np.ndarray:
     leading axes of stacked factors broadcast."""
     product = (np.asarray(system_vec, dtype=complex)[..., :, None]
                * np.asarray(clock_vec, dtype=complex)[..., None, :])
-    return product.reshape(product.shape[:-2] + (-1,))
+    return product.reshape(product.shape[:-2] + (product.shape[-2] * product.shape[-1],))
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,14 @@ class ClockSpace:
     def freq_step(self) -> float:
         return 2 * np.pi / (self.M * self.deltaT)
 
-    def plane_wave(self, k: int) -> np.ndarray:
-        """Eigenvector of S_op with eigenvalue 2 pi k / (M dT)."""
-        if not (-self.M // 2 <= k < self.M // 2):
+    def plane_wave(self, k) -> np.ndarray:
+        """Eigenvector of S_op with eigenvalue 2 pi k / (M dT); an array of
+        indices k gives one eigenvector per index, along a new last axis."""
+        k = np.asarray(k)
+        if not ((-self.M // 2 <= k) & (k < self.M // 2)).all():
             raise InvalidInputError(f"frequency index {k} outside [-M/2, M/2)")
         m = np.arange(self.M)
-        return np.exp(2j * np.pi * k * m / self.M) / np.sqrt(self.M)
+        return np.exp(2j * np.pi * k[..., None] * m / self.M) / np.sqrt(self.M)
 
 
 def _clock_apply(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -285,14 +287,12 @@ class ExtendedSpace:
         ties in component order.  `blocks` holds one (rows, cols, vectors)
         per component, the nonzero part W[rows, cols] of those columns of
         the eigenvector matrix W, which is never formed (see
-        `eigenvectors`).  A matrix that does not split goes to eigh as it
-        is, as one block.
+        `eigenvectors`).
         """
         if self._eig is None:
             H = self.hamiltonian
             components = _connected_components(H)
-            pairs = ([_decompose(np.linalg.eigh, H)] if len(components) == 1 else
-                     [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in components])
+            pairs = [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in components]
             values = np.concatenate([block_values for block_values, _ in pairs])
             order = np.argsort(values, kind="stable")
             rank = np.empty_like(order)
@@ -441,8 +441,6 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
     if method == "dense":
         lam, blocks = ext.eigensystem()
         phases = _phases(theta[..., None], lam)
-        if len(blocks) == 1:
-            return _eigenbasis_apply(blocks[0][2], phases, psi)
         out = np.empty(np.broadcast_shapes(psi.shape, phases.shape), dtype=complex)
         for rows, cols, vectors in blocks:  # each block on its own rows
             out[..., rows] = _eigenbasis_apply(vectors, phases[..., cols], psi[..., rows])
@@ -495,8 +493,7 @@ def uncertainty_product(ext: ExtendedSpace, psi) -> UncertaintyProduct:
     mean_h = float(np.vdot(psi, h_psi).real)
     centered = h_psi - mean_h * psi  # avoids the <H^2> - <H>^2 cancellation
     var_h = float(np.vdot(centered, centered).real)
-    weights = np.abs(psi.reshape(ext.system.n_levels, ext.clock.M)) ** 2
-    p_t = weights.sum(axis=0)
+    p_t = clock_marginal(psi, ext.clock.M)
     mean_t = float(p_t @ ext.clock.times)
     var_t = max(float(p_t @ (ext.clock.times - mean_t) ** 2), 0.0)
     d_h = float(np.sqrt(var_h))

@@ -45,16 +45,6 @@ class CheckRecord:
     passed: bool
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparator": self.comparator,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -70,20 +60,11 @@ class AuditReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "suites": list(self.suites),
-            "records": [r.as_dict() for r in self.records],
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "environment": self.environment,
-            "passed": self.passed,
-            "timestamp": self.timestamp,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        """The report's fields, its records' fields and `passed`, as JSON."""
+        fields = {**vars(self), "records": [vars(r) for r in self.records],
+                  "passed": self.passed}
+        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
 
 class _Run:
@@ -430,7 +411,7 @@ def _suite_time_distribution(run: _Run, rng):
 
         state = constraint.make_physical_state(spectral, c)
         worst = 1.0
-        step_phases = np.exp(-1j * clock.sigma * system.energies * clock.deltaT)
+        step_phases = quantum._phases(clock.deltaT, system.energies, clock.sigma)
         for _ in range(20):
             trial = constraint.make_physical_state(spectral, _random_unit(rng, d))
             cond = povm.conditional_states(spectral, trial)
@@ -552,7 +533,7 @@ def _write_artifacts(report, run: _Run, out_dir: Path, formats):
             "sigma": measure.sigma,
             "d": measure.d,
             "M": measure.M,
-            "defects": run.pm_violation.as_dict(),
+            "defects": vars(run.pm_violation),
             "completeness_residual": measure.completeness_residual(),
             "distributions": {name: list(map(float, dist))
                               for name, dist in run.distributions.items()},

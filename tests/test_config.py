@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolab import ConfigError, parse_config, serialize_config
+from chronolab import config
 from chronolab.classical import MAX_CLASSICAL_STEPS
 from chronolab.config import (
     SUITE_NAMES,
@@ -130,6 +131,25 @@ constraint.expect_misses = false
     twice = parse_config(serialize_config(once))
     assert once == twice
     assert serialize_config(once) == serialize_config(twice)
+
+
+def test_serialized_keys_are_the_fields_in_declaration_order():
+    # this order feeds every report's config_digest
+    keys = [line.split(" = ")[0] for line in serialize_config(ScenarioConfig()).splitlines()]
+    assert keys == [
+        "scenario", "suites", "seed", "compare_sigmas",
+        "system.kind", "system.n_levels", "system.omega", "system.energies", "system.snap",
+        "clock.M", "clock.deltaT", "clock.T0", "clock.sigma",
+        "tolerances.eps_match", "tolerances.constraint_drift",
+        "classical.dt", "classical.t_end", "classical.q0", "classical.p0",
+        "constraint.expected_dim", "constraint.expect_misses",
+    ]
+
+
+def test_a_field_type_without_a_parser_is_refused(monkeypatch):
+    monkeypatch.delitem(config._PARSERS, float)
+    with pytest.raises(TypeError, match="'system.omega' has a type with no parser"):
+        config._key_table()
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "sub/dir", "../escaped", "a\\b", "nul\0"])

@@ -22,7 +22,7 @@ from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, c
 from chronolab import config
 from chronolab.cli import _run_isolated, main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
-from chronolab.scenarios import bundled_scenarios, run_scenario
+from chronolab.scenarios import AuditReport, CheckRecord, bundled_scenarios, run_scenario
 
 QUBIT = """
 scenario = qubit_test
@@ -77,6 +77,55 @@ def test_report_structure(tmp_path):
     assert povm_doc["completeness_residual"] < 1e-10
     sub_doc = json.loads((tmp_path / "qubit_test.subspace.json").read_text())
     assert sub_doc["d"] == 2
+
+
+REPORT_JSON = """{
+  "config_digest": "abababababababababababababababababababababababababababababababab",
+  "environment": {
+    "numpy": "1.26.4",
+    "python": "3.11.7"
+  },
+  "passed": false,
+  "records": [
+    {
+      "check_id": "povm.completeness_residual",
+      "comparator": "<=",
+      "note": "",
+      "passed": true,
+      "threshold": 1e-10,
+      "value": 2.5e-16
+    },
+    {
+      "check_id": "povm.physical_dim",
+      "comparator": ">=",
+      "note": "the physical subspace is empty",
+      "passed": false,
+      "threshold": 1.0,
+      "value": 0.0
+    }
+  ],
+  "scenario": "tiny",
+  "seed": 7,
+  "suites": [
+    "povm-audit",
+    "covariance"
+  ],
+  "timestamp": "2026-01-01T00:00:00+00:00"
+}
+"""
+
+
+def test_report_json_is_pinned():
+    # the report's fields, each record's fields and the derived `passed`
+    report = AuditReport(
+        scenario="tiny", suites=("povm-audit", "covariance"),
+        records=(CheckRecord("povm.completeness_residual", 2.5e-16, 1e-10, "<=", True),
+                 CheckRecord("povm.physical_dim", 0.0, 1.0, ">=", False,
+                             note="the physical subspace is empty")),
+        config_digest="ab" * 32, seed=7,
+        environment={"python": "3.11.7", "numpy": "1.26.4"},
+        timestamp="2026-01-01T00:00:00+00:00")
+    assert report.to_json() == REPORT_JSON
 
 
 def test_run_scenario_seed_override():
@@ -246,8 +295,17 @@ system.n_levels = 1000000000
 """, "exceeds the dense-solver budget"),
     ("quantum-equivalence", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
     ("constraint-solve", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
+    # the one-bin step of the conditional-propagator check: 1e308 * deltaT overflows
+    ("time-distribution", """
+scenario = overflowing_step
+suites = time-distribution
+system.kind = explicit-matrix
+system.energies = 0.0, 0.39269908169872414, 1e308
+clock.M = 64
+clock.deltaT = 2.0
+""", "phase theta * energy leaves the float range"),
 ], ids=["oversized", "tiny-deltaT", "huge-n-levels", "overflowing-phase-quantum",
-        "overflowing-phase-constraint"])
+        "overflowing-phase-constraint", "overflowing-phase-time-distribution"])
 def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     cfg_path = tmp_path / "input.cfg"
     cfg_path.write_text(text)
