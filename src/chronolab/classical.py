@@ -133,27 +133,23 @@ class HamiltonianSystem:
     def _probe_velocity(self):
         rng = np.random.default_rng(_VELOCITY_PROBE_SEED)
         h, n = _VELOCITY_PROBE_STEP, self.n
-        q, p = np.moveaxis(rng.normal(size=(_VELOCITY_PROBE_POINTS, 2, n)), 1, 0)
-        # probe axes: point, shifted block (q or p), sign of the shift, i, coordinate
-        shift = np.array([1.0, -1.0])[:, None, None] * (h * np.eye(n))
-        zero = np.zeros_like(shift)
-        stack = (q[:, None, None, None] + np.stack([shift, zero]),
-                 p[:, None, None, None] + np.stack([zero, shift]))
+        x = rng.normal(size=(_VELOCITY_PROBE_POINTS, 2 * n))
+        probes = _probe_points(x, h)  # (point, +h on each coordinate then -h, coordinate)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                energies = np.asarray(self.energy(*stack), dtype=float)
-                if energies.shape != stack[0].shape[:-1]:
+                energies = np.asarray(self.energy(probes[..., :n], probes[..., n:]), float)
+                if energies.shape != probes.shape[:-1]:
                     raise ValueError(f"got shape {energies.shape}")
-                grad = (energies[:, :, 0] - energies[:, :, 1]) / (2 * h)
+                grad = (energies[:, :2 * n] - energies[:, 2 * n:]) / (2 * h)
         except (TypeError, ValueError, IndexError) as exc:
             raise InvalidInputError(f"energy of '{self.label}' must map stacked (..., n) "
                                     f"points to (...) energies: {exc}") from exc
         if not np.all(np.isfinite(grad)):
             raise InvalidInputError(f"energy of '{self.label}' overflows the float range")
-        grad_q, grad_p = grad.transpose(1, 0, 2)
+        grad_q, grad_p = grad[:, :n], grad[:, n:]
         for k in range(_VELOCITY_PROBE_POINTS):
-            field = (self.velocity(float(q[k, 0]), float(p[k, 0])) if n == 1
-                     else self.velocity(q[k], p[k]))
+            field = (self.velocity(float(x[k, 0]), float(x[k, 1])) if n == 1
+                     else self.velocity(x[k, :n], x[k, n:]))
             vq, vp = (np.asarray(v, dtype=float).reshape(n) for v in field)
             for i in range(n):
                 for name, v, fd in (("dq", vq[i], grad_p[k, i]), ("dp", vp[i], -grad_q[k, i])):

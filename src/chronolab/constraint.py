@@ -118,18 +118,13 @@ def _match_levels(ext: ExtendedSpace, eps: float):
     misses = []
     for i, energy in enumerate(ext.system.energies):
         dist = np.abs(energy + sigma * omega)
-        selected = np.flatnonzero(dist <= eps)
-        if selected.size > 1:
-            dmin = dist[selected].min()
-            tied = selected[dist[selected] == dmin]
-            if tied.size > 1:
-                drop = set(tied[1:].tolist())
-                selected = np.array([j for j in selected if j not in drop])
+        nearest = int(np.argmin(dist))  # the first of tied minima: the lowest index
+        selected = np.flatnonzero((dist <= eps) & ((dist > dist[nearest])
+                                                   | (k_values == k_values[nearest])))
         if selected.size == 0:
-            j = int(np.argmin(dist))
             misses.append(MissDiagnostic(i=i, energy=float(energy),
-                                         nearest_k=int(k_values[j]),
-                                         distance=float(dist[j])))
+                                         nearest_k=int(k_values[nearest]),
+                                         distance=float(dist[nearest])))
             continue
         for j in selected:
             pairs.append(MatchedPair(i=i, k=int(k_values[j]), energy=float(energy),

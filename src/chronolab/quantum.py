@@ -13,7 +13,8 @@ phase downstream.  Basis ordering is system-major: index = i * M + m.
 Units: hbar = 1.
 
 H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT;
-the dense S_op, H_ex and eigensystem() are built only for the oracles.
+the dense S_op, H_ex and eigensystem() are built only for the oracles, and
+only they check the dense-solver budget, before they allocate.
 eigensystem() keeps its eigenvectors in their decoupled blocks, and the
 dense evolution applies each block to its own rows: no (dim, dim)
 eigenvector matrix is formed; `eigenvectors(cols)` gives dense columns.
@@ -140,8 +141,9 @@ class ClockSpace:
 
     @cached_property
     def S_op(self) -> np.ndarray:
-        """Dense F^dag diag(w) F, read-only; its spectrum is checked against
-        `frequencies` to 1e-10."""
+        """Dense F^dag diag(w) F, read-only, refused past the dense-solver
+        budget; its spectrum is checked against `frequencies` to 1e-10."""
+        check_dense_budget(self.M)
         # row j of the clock apply to the identity is S e_j, the column j of S;
         # entries past the float range fail the spectrum check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -257,11 +259,12 @@ class ExtendedSpace:
     def hamiltonian(self) -> np.ndarray:
         """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only.
 
-        Written into one zeroed (n, M, n, M) array: H_s on the clock diagonal
-        of every block, sigma S_op on each system-diagonal block.  The
-        Hermiticity guard reads the factors; the sum of their violations
-        bounds that of H_ex from above.
+        Refused past the dense-solver budget before anything is allocated;
+        else written into one zeroed (n, M, n, M) array: H_s on the clock
+        diagonal of every block, sigma S_op on each system-diagonal block.
+        The Hermiticity guard reads the factors, whose violations bound H_ex's.
         """
+        check_dense_budget(self.dim)
         system, clock = self.system, self.clock
         n, M = system.n_levels, clock.M
         herm = (float(np.max(np.abs(system.matrix - system.matrix.conj().T)))
@@ -347,16 +350,15 @@ def _connected_components(H: np.ndarray) -> list[np.ndarray]:
 
 
 def check_dense_budget(dim: int):
-    """Refuse an extended dimension past MAX_EXTENDED_DIM."""
+    """Refuse a dense view of dimension past MAX_EXTENDED_DIM."""
     if dim > MAX_EXTENDED_DIM:
         raise InvalidInputError(
-            f"extended dimension {dim} exceeds the dense-solver budget {MAX_EXTENDED_DIM}"
+            f"dense dimension {dim} exceeds the dense-solver budget {MAX_EXTENDED_DIM}"
         )
 
 
 def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:
-    """Pair a system with a clock; H_ex is assembled on first read."""
-    check_dense_budget(system.n_levels * clock.M)
+    """Pair a system with a clock; nothing is allocated (the dense views check the budget)."""
     return ExtendedSpace(system=system, clock=clock)
 
 

@@ -318,12 +318,17 @@ def _time_povm(run: _Run) -> povm.TimePOVM | None:
         run.add("physical_dim", 0, 1, ">=",
                 note="the physical subspace is empty: no time POVM")
         return None
-    shared = spectral.d - len({pair.k for pair in spectral.pairs})
+    shared = _shared_frequencies(spectral.pairs)
     if shared:
         run.add("shared_matched_frequencies", shared, 0, "==",
                 note="matched levels share a clock frequency: no time POVM")
         return None
     return run.measure
+
+
+def _shared_frequencies(pairs) -> int:
+    """Matched pairs past the first on each clock frequency; a time POVM needs none."""
+    return len(pairs) - len({pair.k for pair in pairs})
 
 
 def _suite_povm_audit(run: _Run, rng):
@@ -350,16 +355,17 @@ def _suite_povm_audit(run: _Run, rng):
             1e-12 * max(1.0, float(np.max(np.abs(measure.times)))), "<=")
 
     if cfg.compare_sigmas:
-        # same (already snapped) system, opposite sign convention
-        clock_b = quantum.build_clock(cfg.clock.M, cfg.clock.deltaT, cfg.clock.T0,
-                                      -cfg.clock.sigma)
-        ext_b = quantum.build_extended(system, clock_b)
+        # same (already snapped) system and grid, opposite sign convention
+        ext_b = quantum.build_extended(system, dataclasses.replace(clock, sigma=-clock.sigma))
         spectral_b = _solve_spectral(cfg, ext_b)
-        if spectral_b.d != spectral.d:
-            run.add("sigma_pair_matched_pairs", spectral_b.d, spectral.d, "==",
+        # w_-k = -w_k, so conjugate effects need each (i, k) of either sign mirrored by (i, -k)
+        mirrored = len({(p.i, -p.k) for p in spectral.pairs}
+                       & {(p.i, p.k) for p in spectral_b.pairs})
+        if mirrored != max(spectral.d, spectral_b.d):
+            run.add("sigma_pair_matched_pairs", mirrored, max(spectral.d, spectral_b.d), "==",
                     note=f"{spectral.d} matched pairs under sigma = {clock.sigma}, "
-                         f"{spectral_b.d} under the opposite sign (an edge frequency "
-                         "k = -M/2 has no partner): no effects to compare")
+                         f"{spectral_b.d} under the opposite sign, {mirrored} mirrored: "
+                         "no effects to compare")
         else:
             measure_b = povm.build_time_povm(spectral_b)
             run.add("sigma_pair_conjugate_effects",
@@ -373,15 +379,15 @@ def _suite_povm_audit(run: _Run, rng):
 
     # defect-vs-M sweep: the same spectrum re-snapped onto finer grids
     for M_sweep in (16, 32, 64):
-        clock_s = quantum.build_clock(M_sweep, cfg.clock.deltaT, cfg.clock.T0,
-                                      cfg.clock.sigma)
+        clock_s = quantum.build_clock(M_sweep, clock.deltaT, clock.T0, clock.sigma)
         system_s, _ = constraint.snap_energies(system, clock_s)
         ext_s = quantum.build_extended(system_s, clock_s)
-        sub_s = constraint.solve_constraint_spectral(ext_s)
-        try:
-            rep_s = povm.pm_violation_report(povm.build_time_povm(sub_s))
-        except InvalidInputError:  # coarse grids can collapse levels
+        # a grid that collapses levels is skipped before its basis is built
+        pairs, _ = constraint._match_levels(ext_s, constraint.default_eps_match(ext_s))
+        if _shared_frequencies(pairs):
             continue
+        sub_s = constraint.solve_constraint_spectral(ext_s)
+        rep_s = povm.pm_violation_report(povm.build_time_povm(sub_s))
         run.defect_sweep.append((M_sweep, rep_s.orthogonality_defect,
                                  rep_s.idempotency_defect))
 

@@ -12,6 +12,7 @@ from chronolab import (
     build_clock,
     build_extended,
     build_system_space,
+    constraint,
     gaussian_clock_state,
     parse_config,
     quantum,
@@ -219,6 +220,34 @@ def test_hermiticity_guard_reads_a_non_hermitian_system_matrix():
     ext = build_extended(forced, build_clock(16, 0.3))
     with pytest.raises(NumericalFailureError, match="Hermiticity"):
         ext.hamiltonian
+
+
+def test_only_the_dense_views_refuse_a_space_past_the_budget(monkeypatch):
+    clock = build_clock(4100, 0.25)
+    system = build_system_space(np.diag([0.0, 2 * clock.freq_step]))
+    ext = build_extended(system, clock)
+    assert ext.dim == 8200 > quantum.MAX_EXTENDED_DIM
+    # the factored routes work at any size
+    psi = quantum.separable_state(system.eigenstate(1), gaussian_clock_state(clock))
+    assert abs(np.linalg.norm(quantum.evolve_extended(ext, psi, 0.7)) - 1.0) <= 1e-12
+    sub = constraint.solve_constraint_spectral(ext)
+    assert [(pair.i, pair.k) for pair in sub.pairs] == [(0, 0), (1, -2)]
+    assert max(constraint.constraint_residual(ext, sub.basis[:, a]) for a in range(2)) <= 1e-9
+
+    # a dense view must refuse before it allocates: one that reached np.zeros
+    # or np.eye fails here instead of asking for gigabytes
+    class NoDenseAllocation:
+        def __getattr__(self, name):
+            if name in ("zeros", "eye"):
+                raise AssertionError(f"np.{name} called past the dense-solver budget")
+            return getattr(np, name)
+
+    monkeypatch.setattr(quantum, "np", NoDenseAllocation())
+    for dense_view in (lambda: ext.hamiltonian, ext.eigensystem,
+                       lambda: build_clock(8194, 0.25).S_op):
+        with pytest.raises(InvalidInputError, match="exceeds the dense-solver budget"):
+            dense_view()
+    assert ext._eig is None
 
 
 def test_kronecker_spectrum_reuses_the_eigensystem():

@@ -413,6 +413,86 @@ def test_cli_sign_pair_on_the_edge_frequency_is_a_failing_check(tmp_path, capsys
     assert not any(i.startswith("povm.sigma_pair_") and i != failed[0]["check_id"] for i in ids)
 
 
+# two levels half a grid step off the grid, one step apart: each distance tie
+# resolves to the lower frequency index under either sign, so sigma = -1
+# matches k = 0 and 1 but sigma = +1 matches k = -1 twice, with no mirrors
+HALF_SPACING_SIGN_PAIR = """
+scenario = half_spacing_pair
+suites = povm-audit
+seed = 50
+system.kind = oscillator
+system.n_levels = 2
+system.omega = 1.3089969389957472
+clock.M = 16
+clock.deltaT = 0.3
+clock.sigma = -1
+compare_sigmas = true
+"""
+
+
+def test_cli_sign_pair_on_a_half_spacing_tie_is_a_failing_check(tmp_path, capsys):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(HALF_SPACING_SIGN_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main(["povm-audit", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    failed = [r for r in report["records"] if not r["passed"]]
+    assert [(r["check_id"], r["value"], r["threshold"]) for r in failed] == [
+        ("povm.sigma_pair_matched_pairs", 1.0, 2.0)]
+    assert "2 matched pairs under sigma = -1, 2 under the opposite sign" in failed[0]["note"]
+
+
+# 602 levels on M = 8 (dimension 4816, within the dense-solver budget); the
+# defect sweep snaps them onto M = 16, 32 and 64, past it, where the
+# spectral route reads no dense view
+MANY_LEVELS = "\n".join((
+    "scenario = many_levels",
+    "suites = povm-audit",
+    "system.kind = explicit-matrix",
+    "system.energies = " + ", ".join(map(repr, [0.0, math.pi] + [1000.0 + j for j in range(600)])),
+    "clock.M = 8",
+    "clock.deltaT = 0.25",
+)) + "\n"
+
+
+def test_cli_defect_sweep_runs_past_the_dense_budget(tmp_path, capsys):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(MANY_LEVELS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main(["povm-audit", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+# oscillator ladders at whole and half grid spacings put levels on grid
+# frequencies, on half-spacing ties and on the edge k = -M/2: every sign
+# pair and every defect sweep must end in a check, never in exit 2
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(n=st.integers(1, 8), M=st.integers(4, 32).map(lambda half: 2 * half),
+       spacing=st.integers(1, 5).map(lambda halves: halves / 2),
+       deltaT=st.sampled_from((0.25, 0.3, 0.5)), sigma=st.sampled_from((1, -1)),
+       snap=st.booleans())
+@example(n=2, M=16, spacing=1.0, deltaT=0.3, sigma=-1, snap=False)  # the half-spacing tie
+def test_grid_ladders_compare_both_signs_without_exit_2(n, M, spacing, deltaT, sigma, snap):
+    text = (f"scenario = ladder\nsystem.kind = oscillator\nsystem.n_levels = {n}\n"
+            f"system.omega = {spacing * 2 * math.pi / (M * deltaT)!r}\nclock.M = {M}\n"
+            f"clock.deltaT = {deltaT!r}\nclock.sigma = {sigma}\ncompare_sigmas = true\n"
+            f"system.snap = {str(snap).lower()}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ladder.cfg"
+        path.write_text(text, encoding="utf-8")
+        for command in ("povm-audit", "time-distribution"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+            assert code in (0, 1), err.getvalue()
+
+
 def test_time_distribution_alone_writes_what_it_computed(tmp_path):
     code = main(["time-distribution", "--config", str(CONFIG_DIR / "03_qubit_commensurate.cfg"),
                  "--out", str(tmp_path), "--format", "csv"])
