@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
 from .quantum import (ExtendedSpace, SystemSpace, _eigenbasis_apply, _hex_apply,
-                      build_system_space, clock_marginal, evolve_extended, separable_state,
-                      unit)
+                      clock_marginal, evolve_extended, separable_state, unit)
 
 __all__ = [
     "MatchedPair",
@@ -172,23 +171,29 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
 def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:
     """Snap each energy onto the representable set {-sigma w_k}.
 
-    Returns the rebuilt SystemSpace and the per-level shifts
+    Returns the snapped SystemSpace and the per-level shifts
     (i, old energy, snapped energy); callers are expected to report them.
+    A snap moves eigenvalues only: the snapped space keeps the eigenvectors
+    and takes the snapped values as its energies, with no second eigh.
+    The snap is monotone, so the snapped energies ascend, ties in level order.
     """
     sigma = clock.sigma
     step = clock.freq_step
     k_lo, k_hi = -clock.M // 2, clock.M // 2 - 1
     shifts = []
-    new_energies = np.empty_like(system.energies)
+    energies = np.empty_like(system.energies)
     for i, energy in enumerate(system.energies.tolist()):
         # clipped before rounding: a ratio past the float range is inf
         k = round(min(max(-sigma * energy / step, k_lo), k_hi))
         snapped = -sigma * k * step
-        new_energies[i] = snapped
+        energies[i] = snapped
         shifts.append((i, float(energy), float(snapped)))
-    # rows of the identity give (V diag V^dag)^T; build_system_space symmetrises
-    H_new = _eigenbasis_apply(system.vectors, new_energies, np.eye(system.n_levels)).T
-    return build_system_space(H_new), tuple(shifts)
+    # rows of the identity give (V diag V^dag)^T, symmetrised as build_system_space does
+    H = _eigenbasis_apply(system.vectors, energies, np.eye(system.n_levels)).T
+    H = 0.5 * H + 0.5 * H.conj().T
+    for arr in (H, energies):
+        arr.setflags(write=False)
+    return SystemSpace(matrix=H, energies=energies, vectors=system.vectors), tuple(shifts)
 
 
 def make_physical_state(sub: PhysicalSubspace, coeffs) -> PhysicalState:

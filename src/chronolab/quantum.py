@@ -12,12 +12,17 @@ H_ex = H_s (x) I + sigma (I (x) S); flipping it conjugates every clock
 phase downstream.  Basis ordering is system-major: index = i * M + m.
 Units: hbar = 1.
 
-H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT;
-the dense S_op, H_ex and eigensystem() are built only for the oracles, and
+H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT.
+The dense oracles read its assembled entries one decoupled block at a
+time: the connected components of its zero pattern are the products of
+the factors' components, and each block is built from H_s and the dense
+S_op alone.  eigensystem() and norm_inf() read only those blocks, so no
+(dim, dim) generator is formed; `hamiltonian`, their scatter into one, is
+for tests and users.  The dense views are built only for the oracles, and
 only they check the dense-solver budget, before they allocate.
-eigensystem() keeps its eigenvectors in their decoupled blocks, and the
-dense evolution applies each block to its own rows: no (dim, dim)
-eigenvector matrix is formed; `eigenvectors(cols)` gives dense columns.
+eigensystem() keeps its eigenvectors in their blocks, and the dense
+evolution applies each block to its own rows: no (dim, dim) eigenvector
+matrix is formed; `eigenvectors(cols)` gives dense columns.
 """
 
 from __future__ import annotations
@@ -239,8 +244,9 @@ def commutator_residual(clock: ClockSpace, phi) -> float:
 class ExtendedSpace:
     """System (x) clock with the extended generator H_ex = H_s + sigma S.
 
-    The pair (system, clock) determines everything; the dense n M x n M
-    generator and its eigendecomposition are built only when read.
+    The pair (system, clock) determines everything; the blocks of the
+    n M x n M generator, its eigendecomposition and its dense form are
+    built only when read.
     """
 
     system: SystemSpace
@@ -255,47 +261,73 @@ class ExtendedSpace:
     def dim(self) -> int:
         return self.system.n_levels * self.clock.M
 
-    @cached_property
-    def hamiltonian(self) -> np.ndarray:
-        """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only.
+    def _blocks(self):
+        """(rows, H_ex[rows, rows]) for each connected component of the
+        symmetric zero pattern of H_ex, read from the two factors alone.
 
         Refused past the dense-solver budget before anything is allocated;
-        else written into one zeroed (n, M, n, M) array: H_s on the clock
-        diagonal of every block, sigma S_op on each system-diagonal block.
-        The Hermiticity guard reads the factors, whose violations bound H_ex's.
+        the Hermiticity guard reads the factors, whose violations bound
+        H_ex's.  Both run on the call; the blocks are built as they are
+        iterated.  The pattern of a Kronecker sum is the Cartesian product
+        of its factors' patterns, so the components are the products L x B
+        of the components of H_s and of S_op, with rows L * M + B ascending,
+        in order of their lowest row.  Each block takes the dense assembly's
+        two writes: H_s on the clock diagonal, then sigma S_op added on the
+        system-diagonal blocks.
         """
         check_dense_budget(self.dim)
         system, clock = self.system, self.clock
-        n, M = system.n_levels, clock.M
+        S_op = clock.S_op
         herm = (float(np.max(np.abs(system.matrix - system.matrix.conj().T)))
-                + float(np.max(np.abs(clock.S_op - clock.S_op.conj().T))))
+                + float(np.max(np.abs(S_op - S_op.conj().T))))
         if herm > 1e-12:
             raise NumericalFailureError(f"H_ex Hermiticity violated at {herm:.3e}")
-        H_ex = np.zeros((n, M, n, M), dtype=complex)
-        bins, levels = np.arange(M), np.arange(n)
-        H_ex[:, bins, :, bins] = system.matrix
-        H_ex[levels, :, levels, :] += clock.sigma * clock.S_op
-        H_ex = H_ex.reshape(self.dim, self.dim)
+        bin_sets = _connected_components(S_op)
+        return (_kron_sum_block(system.matrix, clock.sigma * S_op, levels, bins)
+                for levels in _connected_components(system.matrix) for bins in bin_sets)
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """Dense H_ex = H_s (x) I_M + sigma (I (x) S_op), system-major, read-only:
+        the blocks of `_blocks` scattered into one zeroed (dim, dim) array."""
+        blocks = self._blocks()  # refuses past the budget before the allocation
+        H_ex = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, block in blocks:
+            H_ex[np.ix_(rows, rows)] = block
         H_ex.setflags(write=False)
         return H_ex
+
+    def norm_inf(self) -> float:
+        """||H_ex||_inf, the largest absolute row sum, one component at a
+        time.  Each component's rows are summed at full width, zero-padded,
+        as the dense rows are, so the value equals
+        np.linalg.norm(hamiltonian, inf) bit for bit."""
+        row_sums = []
+        for rows, block in self._blocks():
+            padded = np.zeros((rows.size, self.dim))
+            padded[:, rows] = np.abs(block)
+            row_sums.append(np.add.reduce(padded, axis=1))
+        return float(np.concatenate(row_sums).max(initial=0))
 
     def eigensystem(self):
         """Cached dense eigendecomposition of H_ex (the oracle path), as
         (lam, blocks).
 
-        Reads the assembled matrix alone, one eigh per connected component
-        of its symmetric zero pattern: a permutation that makes H_ex
+        One eigh per block of `_blocks`, that is per connected component of
+        the symmetric zero pattern of H_ex, whose entries are assembled from
+        the two factor matrices alone: a permutation that makes H_ex
         block-diagonal is an exact similarity, so each block's eigenpairs,
-        placed on the block's rows, are eigenpairs of H_ex.  lam ascends,
-        ties in component order.  `blocks` holds one (rows, cols, vectors)
-        per component, the nonzero part W[rows, cols] of those columns of
-        the eigenvector matrix W, which is never formed (see
-        `eigenvectors`).
+        placed on the block's rows, are eigenpairs of H_ex.  No (dim, dim)
+        array is formed.  lam ascends, ties in component order.  `blocks`
+        holds one (rows, cols, vectors) per component, the nonzero part
+        W[rows, cols] of those columns of the eigenvector matrix W, which is
+        never formed (see `eigenvectors`).
         """
         if self._eig is None:
-            H = self.hamiltonian
-            components = _connected_components(H)
-            pairs = [_decompose(np.linalg.eigh, H[np.ix_(rows, rows)]) for rows in components]
+            components, pairs = [], []
+            for rows, block in self._blocks():
+                components.append(rows)
+                pairs.append(_decompose(np.linalg.eigh, block))
             values = np.concatenate([block_values for block_values, _ in pairs])
             order = np.argsort(values, kind="stable")
             rank = np.empty_like(order)
@@ -328,6 +360,17 @@ def _decompose(decompose, H: np.ndarray):
         return decompose(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigendecomposition failed: {exc}") from None
+
+
+def _kron_sum_block(matrix: np.ndarray, sigma_s: np.ndarray, levels: np.ndarray,
+                    bins: np.ndarray):
+    """(rows, block) of H_s (x) I + I (x) sigma_s on the levels x bins rows."""
+    l, b = levels.size, bins.size
+    block = np.zeros((l, b, l, b), dtype=complex)
+    block[:, np.arange(b), :, np.arange(b)] = matrix[np.ix_(levels, levels)]
+    block[np.arange(l), :, np.arange(l), :] += sigma_s[np.ix_(bins, bins)]
+    rows = (levels[:, None] * sigma_s.shape[0] + bins).ravel()
+    return rows, block.reshape(rows.size, rows.size)
 
 
 def _connected_components(H: np.ndarray) -> list[np.ndarray]:

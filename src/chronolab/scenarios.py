@@ -282,7 +282,7 @@ def _suite_constraint_solve(run: _Run, rng):
         angles = constraint.principal_angles(spectral.basis, kernel.basis)
         run.add("principal_angle", float(np.max(angles)), 1e-8, "<=")
     if spectral.d:
-        scale = max(1.0, float(np.linalg.norm(ext.hamiltonian, np.inf)))
+        scale = max(1.0, ext.norm_inf())
         worst = max(constraint.constraint_residual(ext, spectral.basis[:, a])
                     for a in range(spectral.d))
         run.add("basis_residual", worst, 1e-9 * scale, "<=")
@@ -367,7 +367,14 @@ def _suite_povm_audit(run: _Run, rng):
                          f"{spectral_b.d} under the opposite sign, {mirrored} mirrored: "
                          "no effects to compare")
         else:
+            # the opposite sign's frame columns in the mirror order (i, -k) of
+            # the run's pairs (within a level its pairs ascend in k, not in -k),
+            # in C order like the run's frame, so both distributions sum alike
+            column = {(p.i, p.k): a for a, p in enumerate(spectral_b.pairs)}
+            mirror = [column[p.i, -p.k] for p in spectral.pairs]
             measure_b = povm.build_time_povm(spectral_b)
+            measure_b = dataclasses.replace(
+                measure_b, frame=np.ascontiguousarray(measure_b.frame[:, mirror]))
             run.add("sigma_pair_conjugate_effects",
                     float(np.max(np.abs(measure_b.effects - measure.effects.conj()))),
                     1e-12, "<=")

@@ -162,6 +162,26 @@ def test_snap_energies_lands_on_the_grid():
         assert pair.mismatch < 1e-12
 
 
+def test_snap_energies_keeps_the_eigenvectors_and_runs_no_eigh(monkeypatch):
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    system = build_system_space(0.5 * (raw + raw.conj().T))
+    clock = build_clock(8, 0.5, sigma=-1)  # a coarse grid: some levels collide
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("snap_energies ran an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    snapped, shifts = snap_energies(system, clock)
+    energies, vectors = snapped.energies, snapped.vectors
+    assert vectors is system.vectors
+    assert energies.tolist() == [new for _, _, new in shifts]
+    assert np.all(np.diff(energies) >= 0) and np.any(np.diff(energies) == 0)
+    assert np.array_equal(snapped.matrix, snapped.matrix.conj().T)
+    assert np.max(np.abs(snapped.matrix @ vectors - vectors * energies)) <= 1e-12
+    assert not (snapped.matrix.flags.writeable or energies.flags.writeable)
+
+
 def test_make_physical_state_basis_and_gauge(qubit):
     sub = solve_constraint_spectral(qubit)
     basis_state = make_physical_state(sub, np.array([1.0, 0.0]))

@@ -329,6 +329,25 @@ def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, seed)
         assert np.array_equal(lam, lam_ref) and np.array_equal(W, W_ref)
 
 
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(kind=st.sampled_from(("diagonal", "two-blocks", "random")),
+       n=st.integers(2, 6), M=st.integers(4, 16).map(lambda half: 2 * half),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_factor_blocks_are_the_components_of_the_assembled_hex(kind, n, M, sigma, seed):
+    system = build_system_space(coupled_system(kind, n, np.random.default_rng(seed)))
+    clock = build_clock(M, 0.3, sigma=sigma)
+    ext = build_extended(system, clock)
+    H = ext.hamiltonian
+    blocks = list(ext._blocks())
+    assert ([rows.tolist() for rows, _ in blocks]
+            == [rows.tolist() for rows in quantum._connected_components(H)])
+    for rows, block in blocks:
+        assert block.tobytes() == H[np.ix_(rows, rows)].tobytes()
+    H_ref = np.kron(system.matrix, np.eye(M)) + sigma * np.kron(np.eye(n), clock.S_op)
+    assert np.array_equal(H, H_ref)
+    assert ext.norm_inf() == np.linalg.norm(H, np.inf)
+
+
 def test_eigensystem_runs_one_eigh_per_decoupled_block(monkeypatch):
     shapes = []
     eigh = np.linalg.eigh

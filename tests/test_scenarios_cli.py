@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -446,6 +447,38 @@ def test_cli_sign_pair_on_a_half_spacing_tie_is_a_failing_check(tmp_path, capsys
     assert "2 matched pairs under sigma = -1, 2 under the opposite sign" in failed[0]["note"]
 
 
+# one level matched twice under a wide eps_match: k = -1 and 0 under
+# sigma = +1, k = 0 and 1 under sigma = -1, so the mirrors run in reverse
+MIRRORED_SIGN_PAIR = """
+scenario = mirrored_pair
+suites = povm-audit
+seed = 51
+compare_sigmas = true
+system.kind = explicit-matrix
+system.energies = 0.11780972450961724
+clock.M = 16
+clock.deltaT = 1.0
+tolerances.eps_match = 0.29452431127404311
+"""
+
+
+def test_cli_sign_pair_compares_effects_in_mirror_order(tmp_path, capsys):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(MIRRORED_SIGN_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main(["povm-audit", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    sign_pair = {r["check_id"]: r for r in report["records"]
+                 if r["check_id"].startswith("povm.sigma_pair_")}
+    assert set(sign_pair) == {"povm.sigma_pair_conjugate_effects",
+                              "povm.sigma_pair_real_distribution"}
+    assert all(r["passed"] for r in sign_pair.values())
+
+
 # 602 levels on M = 8 (dimension 4816, within the dense-solver budget); the
 # defect sweep snaps them onto M = 16, 32 and 64, past it, where the
 # spectral route reads no dense view
@@ -740,8 +773,11 @@ def one_energy_on_one_bin(blocks, matrix, clock):
 def test_the_dense_oracle_catches_a_mis_assembled_hex(monkeypatch, mutate):
     # the mutants keep the level blocks decoupled, so eigensystem() still
     # splits H_ex; only its reading of the assembled entries can catch them
-    monkeypatch.setattr(ExtendedSpace, "hamiltonian",
-                        property(lambda ext: assemble_hex(ext, mutate)))
+    def blocks(ext):
+        H = assemble_hex(ext, mutate)
+        return [(rows, H[np.ix_(rows, rows)]) for rows in quantum._connected_components(H)]
+
+    monkeypatch.setattr(ExtendedSpace, "_blocks", blocks)
     cfg = parse_config(TOY_GRID)
     system = quantum.build_system_space(np.diag(cfg.system.energies))
     ext = quantum.build_extended(system, quantum.build_clock(cfg.clock.M, cfg.clock.deltaT))
@@ -753,6 +789,31 @@ def test_the_dense_oracle_catches_a_mis_assembled_hex(monkeypatch, mutate):
     else:
         assert deviation > 1e-9
         assert failed and all(check.startswith("constraint.") for check in failed)
+
+
+def test_the_dense_oracle_holds_no_dense_hex():
+    # 16 levels on 64 bins: dim 1024, so one dense complex H_ex is 16 dim^2
+    # bytes (16.8 MB); the oracle reads its blocks from the two factors
+    step = 2 * math.pi / (64 * 0.25)
+    cfg = parse_config("\n".join((
+        "scenario = dense_memory",
+        "suites = quantum-equivalence, constraint-solve",
+        "seed = 3",
+        "system.kind = explicit-matrix",
+        "system.energies = " + ", ".join(repr(-k * step) for k in range(-8, 8)),
+        "clock.M = 64",
+        "clock.deltaT = 0.25",
+        "constraint.expected_dim = 16",
+    )) + "\n")
+    dim = 16 * 64
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * dim ** 2
 
 
 def test_extended_spaces_die_with_the_run(monkeypatch):
