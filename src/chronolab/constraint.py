@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
 from .quantum import (ExtendedSpace, SystemSpace, _eigenbasis_apply, _hex_apply,
-                      clock_marginal, evolve_extended, separable_state, unit)
+                      _kron_sums, clock_marginal, evolve_extended, separable_state, unit)
 
 __all__ = [
     "MatchedPair",
@@ -110,13 +110,12 @@ def _match_levels(ext: ExtendedSpace, eps: float):
     resolves to the lower frequency index, so the default eps (half spacing)
     never double-matches a level.
     """
-    sigma = ext.sigma
     omega = ext.clock.frequencies
     k_values = np.arange(-ext.clock.M // 2, ext.clock.M // 2)
     pairs = []
     misses = []
-    for i, energy in enumerate(ext.system.energies):
-        dist = np.abs(energy + sigma * omega)
+    for i, (energy, sums) in enumerate(zip(ext.system.energies, _kron_sums(ext))):
+        dist = np.abs(sums)
         nearest = int(np.argmin(dist))  # the first of tied minima: the lowest index
         selected = np.flatnonzero((dist <= eps) & ((dist > dist[nearest])
                                                    | (k_values == k_values[nearest])))
@@ -169,7 +168,8 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
 
 
 def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:
-    """Snap each energy onto the representable set {-sigma w_k}.
+    """Snap each energy onto the representable set {-sigma w_k}, read from
+    `clock.frequencies`, so a snapped level matches its frequency exactly.
 
     Returns the snapped SystemSpace and the per-level shifts
     (i, old energy, snapped energy); callers are expected to report them.
@@ -185,7 +185,7 @@ def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:
     for i, energy in enumerate(system.energies.tolist()):
         # clipped before rounding: a ratio past the float range is inf
         k = round(min(max(-sigma * energy / step, k_lo), k_hi))
-        snapped = -sigma * k * step
+        snapped = -sigma * clock.frequencies[k - k_lo] + 0.0  # + 0.0: no -0.0 level
         energies[i] = snapped
         shifts.append((i, float(energy), float(snapped)))
     # rows of the identity give (V diag V^dag)^T, symmetrised as build_system_space does

@@ -13,16 +13,17 @@ phase downstream.  Basis ordering is system-major: index = i * M + m.
 Units: hbar = 1.
 
 H_ex is a Kronecker sum and is applied factor by factor, the clock by FFT.
-The dense oracles read its assembled entries one decoupled block at a
-time: the connected components of its zero pattern are the products of
-the factors' components, and each block is built from H_s and the dense
-S_op alone.  eigensystem() and norm_inf() read only those blocks, so no
-(dim, dim) generator is formed; `hamiltonian`, their scatter into one, is
-for tests and users.  The dense views are built only for the oracles, and
-only they check the dense-solver budget, before they allocate.
-eigensystem() keeps its eigenvectors in their blocks, and the dense
-evolution applies each block to its own rows: no (dim, dim) eigenvector
-matrix is formed; `eigenvectors(cols)` gives dense columns.
+Its spectrum, the sums E_i + sigma w_k, and so its norm are read from the
+factors.  The dense oracle reads its assembled entries one decoupled
+block at a time, one block per connected component of H_s over all M
+bins, each built from H_s and the dense S_op alone.  eigensystem() reads
+only those blocks, so no (dim, dim) generator is formed; `hamiltonian`,
+their scatter into one, is for tests and users.  The dense views are
+built only for the oracles, and only they check the dense-solver budget,
+before they allocate.  eigensystem() keeps its eigenvectors in their
+blocks, and the dense evolution applies each block to its own rows: no
+(dim, dim) eigenvector matrix is formed; `eigenvectors(cols)` gives dense
+columns.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ class ClockSpace:
     @cached_property
     def S_op(self) -> np.ndarray:
         """Dense F^dag diag(w) F, read-only, refused past the dense-solver
-        budget; its spectrum is checked against `frequencies` to 1e-10."""
+        budget; its spectrum is checked against `frequencies` to
+        1e-12 max(1, max|w|), as eigvalsh rounds relative to the largest
+        eigenvalue."""
         check_dense_budget(self.M)
         # row j of the clock apply to the identity is S e_j, the column j of S;
         # entries past the float range fail the spectrum check below
@@ -156,7 +159,7 @@ class ClockSpace:
             S_op = 0.5 * (S_op + S_op.conj().T)  # kill rounding-level asymmetry
             deviation = np.max(np.abs(_decompose(np.linalg.eigvalsh, S_op)
                                       - self.frequencies))
-        if not deviation <= 1e-10:
+        if not deviation <= 1e-12 * max(1.0, float(np.max(np.abs(self.frequencies)))):
             raise NumericalFailureError("S_op spectrum deviates from the frequency grid")
         S_op.setflags(write=False)
         return S_op
@@ -262,18 +265,19 @@ class ExtendedSpace:
         return self.system.n_levels * self.clock.M
 
     def _blocks(self):
-        """(rows, H_ex[rows, rows]) for each connected component of the
-        symmetric zero pattern of H_ex, read from the two factors alone.
+        """(rows, H_ex[rows, rows]) for each connected component L of H_s,
+        over all M bins, read from the two factors alone.
 
         Refused past the dense-solver budget before anything is allocated;
         the Hermiticity guard reads the factors, whose violations bound
         H_ex's.  Both run on the call; the blocks are built as they are
-        iterated.  The pattern of a Kronecker sum is the Cartesian product
-        of its factors' patterns, so the components are the products L x B
-        of the components of H_s and of S_op, with rows L * M + B ascending,
-        in order of their lowest row.  Each block takes the dense assembly's
-        two writes: H_s on the clock diagonal, then sigma S_op added on the
-        system-diagonal blocks.
+        iterated.  A block's rows are L * M + bin, ascending, and the
+        blocks come in order of their lowest row.  S_op is one connected
+        component on every clock (its shift-one entries are O(1/deltaT)),
+        so these are the components of H_ex; a block that held several
+        would still be an exact eigenproblem.  Each block takes the dense
+        assembly's two writes: H_s on the clock diagonal, then sigma S_op
+        added on the system-diagonal blocks.
         """
         check_dense_budget(self.dim)
         system, clock = self.system, self.clock
@@ -282,9 +286,8 @@ class ExtendedSpace:
                 + float(np.max(np.abs(S_op - S_op.conj().T))))
         if herm > 1e-12:
             raise NumericalFailureError(f"H_ex Hermiticity violated at {herm:.3e}")
-        bin_sets = _connected_components(S_op)
-        return (_kron_sum_block(system.matrix, clock.sigma * S_op, levels, bins)
-                for levels in _connected_components(system.matrix) for bins in bin_sets)
+        return (_kron_sum_block(system.matrix, clock.sigma * S_op, levels)
+                for levels in _connected_components(system.matrix))
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
@@ -297,25 +300,13 @@ class ExtendedSpace:
         H_ex.setflags(write=False)
         return H_ex
 
-    def norm_inf(self) -> float:
-        """||H_ex||_inf, the largest absolute row sum, one component at a
-        time.  Each component's rows are summed at full width, zero-padded,
-        as the dense rows are, so the value equals
-        np.linalg.norm(hamiltonian, inf) bit for bit."""
-        row_sums = []
-        for rows, block in self._blocks():
-            padded = np.zeros((rows.size, self.dim))
-            padded[:, rows] = np.abs(block)
-            row_sums.append(np.add.reduce(padded, axis=1))
-        return float(np.concatenate(row_sums).max(initial=0))
-
     def eigensystem(self):
         """Cached dense eigendecomposition of H_ex (the oracle path), as
         (lam, blocks).
 
         One eigh per block of `_blocks`, that is per connected component of
-        the symmetric zero pattern of H_ex, whose entries are assembled from
-        the two factor matrices alone: a permutation that makes H_ex
+        H_s over all M bins, whose entries are assembled from the two
+        factor matrices alone: a permutation that makes H_ex
         block-diagonal is an exact similarity, so each block's eigenpairs,
         placed on the block's rows, are eigenpairs of H_ex.  No (dim, dim)
         array is formed.  lam ascends, ties in component order.  `blocks`
@@ -362,14 +353,13 @@ def _decompose(decompose, H: np.ndarray):
         raise NumericalFailureError(f"dense eigendecomposition failed: {exc}") from None
 
 
-def _kron_sum_block(matrix: np.ndarray, sigma_s: np.ndarray, levels: np.ndarray,
-                    bins: np.ndarray):
-    """(rows, block) of H_s (x) I + I (x) sigma_s on the levels x bins rows."""
-    l, b = levels.size, bins.size
-    block = np.zeros((l, b, l, b), dtype=complex)
-    block[:, np.arange(b), :, np.arange(b)] = matrix[np.ix_(levels, levels)]
-    block[np.arange(l), :, np.arange(l), :] += sigma_s[np.ix_(bins, bins)]
-    rows = (levels[:, None] * sigma_s.shape[0] + bins).ravel()
+def _kron_sum_block(matrix: np.ndarray, sigma_s: np.ndarray, levels: np.ndarray):
+    """(rows, block) of H_s (x) I + I (x) sigma_s on the rows of `levels`."""
+    l, M = levels.size, sigma_s.shape[0]
+    block = np.zeros((l, M, l, M), dtype=complex)
+    block[:, np.arange(M), :, np.arange(M)] = matrix[np.ix_(levels, levels)]
+    block[np.arange(l), :, np.arange(l), :] += sigma_s
+    rows = (levels[:, None] * M + np.arange(M)).ravel()
     return rows, block.reshape(rows.size, rows.size)
 
 
@@ -405,12 +395,15 @@ def build_extended(system: SystemSpace, clock: ClockSpace) -> ExtendedSpace:
     return ExtendedSpace(system=system, clock=clock)
 
 
+def _kron_sums(ext: ExtendedSpace) -> np.ndarray:
+    """The spectrum of H_ex from its factors: the (n_levels, M) sums
+    E_i + sigma * w_k.  H_ex is Hermitian, so max |sum| is ||H_ex||_2."""
+    return ext.system.energies[:, None] + ext.sigma * ext.clock.frequencies
+
+
 def verify_kronecker_spectrum(ext: ExtendedSpace) -> float:
     """Max deviation of eig(H_ex) from the sums E_i + sigma * w_k."""
-    expected = np.sort(
-        (ext.system.energies[:, None]
-         + ext.sigma * ext.clock.frequencies[None, :]).ravel()
-    )
+    expected = np.sort(_kron_sums(ext).ravel())
     actual, _ = ext.eigensystem()
     return float(np.max(np.abs(actual - expected)))
 

@@ -282,7 +282,7 @@ def _suite_constraint_solve(run: _Run, rng):
         angles = constraint.principal_angles(spectral.basis, kernel.basis)
         run.add("principal_angle", float(np.max(angles)), 1e-8, "<=")
     if spectral.d:
-        scale = max(1.0, ext.norm_inf())
+        scale = max(1.0, float(np.max(np.abs(quantum._kron_sums(ext)))))  # ||H_ex||_2
         worst = max(constraint.constraint_residual(ext, spectral.basis[:, a])
                     for a in range(spectral.d))
         run.add("basis_residual", worst, 1e-9 * scale, "<=")

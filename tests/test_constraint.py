@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import (
     InvalidInputError,
@@ -160,6 +162,27 @@ def test_snap_energies_lands_on_the_grid():
     assert sub.d == 8
     for pair in sub.pairs:
         assert pair.mismatch < 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(M=st.integers(4, 512).map(lambda half: 2 * half),
+       deltaT=st.sampled_from((1e-4, 0.003, 0.1, 0.25, 0.7, 3.0, 50.0)),
+       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_snapped_levels_sit_exactly_on_their_frequencies(M, deltaT, sigma, seed):
+    clock = build_clock(M, deltaT, sigma=sigma)
+    top = np.pi / deltaT
+    energies = np.random.default_rng(seed).uniform(-top, top, size=6)
+    snapped, _ = snap_energies(build_system_space(np.diag(energies)), clock)
+    sub = solve_constraint_spectral(build_extended(snapped, clock))
+    assert sub.pairs and all(pair.mismatch == 0.0 for pair in sub.pairs)
+
+
+def test_a_level_snapped_onto_the_zero_frequency_is_positive_zero():
+    for sigma in (1, -1):
+        snapped, shifts = snap_energies(build_system_space(np.diag([1e-9, 2.0])),
+                                        build_clock(8, 0.5, sigma=sigma))
+        assert snapped.energies[0] == 0.0 and not np.signbit(snapped.energies[0])
+        assert not np.signbit(shifts[0][2])
 
 
 def test_snap_energies_keeps_the_eigenvectors_and_runs_no_eigh(monkeypatch):

@@ -345,7 +345,18 @@ def test_factor_blocks_are_the_components_of_the_assembled_hex(kind, n, M, sigma
         assert block.tobytes() == H[np.ix_(rows, rows)].tobytes()
     H_ref = np.kron(system.matrix, np.eye(M)) + sigma * np.kron(np.eye(n), clock.S_op)
     assert np.array_equal(H, H_ref)
-    assert ext.norm_inf() == np.linalg.norm(H, np.inf)
+    # the basis_residual scale, ||H_ex||_2 from the factors, bounded by ||H_ex||_inf
+    scale = float(np.max(np.abs(quantum._kron_sums(ext))))
+    assert abs(scale - np.max(np.abs(np.linalg.eigvalsh(H)))) <= 1e-12 * scale
+    assert scale <= np.linalg.norm(H, np.inf)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(M=st.integers(4, 64).map(lambda half: 2 * half), decade=st.integers(-4, 100))
+def test_s_op_is_one_connected_component(M, decade):
+    # the premise of one block per component of H_s: S_op links every bin
+    S_op = build_clock(M, 0.37 * 10.0 ** decade).S_op
+    assert [rows.tolist() for rows in quantum._connected_components(S_op)] == [list(range(M))]
 
 
 def test_eigensystem_runs_one_eigh_per_decoupled_block(monkeypatch):

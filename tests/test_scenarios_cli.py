@@ -479,6 +479,29 @@ def test_cli_sign_pair_compares_effects_in_mirror_order(tmp_path, capsys):
     assert all(r["passed"] for r in sign_pair.values())
 
 
+# one grid step on a fine clock: S_op's eigenvalues reach pi/deltaT ~ 1.6e4,
+# and eigvalsh rounds them by more than an absolute 1e-10
+FINE_CLOCK = """
+scenario = fine_clock
+system.kind = qubit
+system.energies = 0.0, 30.679615757712824
+clock.M = 1024
+clock.deltaT = 0.0002
+clock.sigma = -1
+"""
+
+
+@pytest.mark.parametrize("command", ["quantum-equivalence", "constraint-solve"])
+def test_cli_fine_clock_passes_the_s_op_spectrum_guard(tmp_path, capsys, command):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(FINE_CLOCK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under PYTHONWARNINGS=error
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
+    assert code == 0
+
+
 # 602 levels on M = 8 (dimension 4816, within the dense-solver budget); the
 # defect sweep snaps them onto M = 16, 32 and 64, past it, where the
 # spectral route reads no dense view
