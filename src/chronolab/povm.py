@@ -26,6 +26,7 @@ such a subspace raises InvalidInputError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,13 +235,20 @@ class EventOperator:
 
     def __post_init__(self):
         proj = np.asarray(self.projector, dtype=complex)
-        if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
+        if proj.ndim != 2 or proj.shape[0] != proj.shape[1] or proj.shape[0] < 1:
             raise InvalidInputError("projector must be square")
-        if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
-            raise InvalidInputError("projector must be Hermitian")
-        if np.max(np.abs(proj @ proj - proj)) > 1e-10:
-            raise InvalidInputError("projector must be idempotent to 1e-10")
-        window = tuple(sorted(int(m) for m in set(self.window)))
+        if not np.all(np.isfinite(proj)):
+            raise InvalidInputError("projector contains non-finite entries")
+        # an overflowing product reads inf or NaN, and `not (x <= tol)` fails both
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.max(np.abs(proj - proj.conj().T)) <= 1e-10:
+                raise InvalidInputError("projector must be Hermitian")
+            if not np.max(np.abs(proj @ proj - proj)) <= 1e-10:
+                raise InvalidInputError("projector must be idempotent to 1e-10")
+        try:  # operator.index takes ints and numpy integers, never a float
+            window = tuple(sorted({operator.index(m) for m in self.window}))
+        except TypeError:
+            raise InvalidInputError("bin indices must be integers") from None
         if any(m < 0 for m in window):
             raise InvalidInputError("bin indices must be non-negative")
         proj.setflags(write=False)

@@ -341,6 +341,28 @@ def test_event_operator_validation():
     assert op.window == (1, 3)
 
 
+@pytest.mark.parametrize("projector", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    np.zeros((0, 0)),
+    [[1e300, 1e300], [1e300, 1e300]],
+], ids=["nan", "inf", "empty", "overflowing"])
+def test_event_operator_rejects_a_degenerate_projector(projector):
+    with pytest.raises(InvalidInputError):
+        EventOperator(projector=projector, window=(0, 1))
+
+
+def test_event_operator_takes_integer_bins_only():
+    with pytest.raises(InvalidInputError, match="integers"):
+        EventOperator(projector=np.eye(2), window=(0.5, 2.7))
+    with pytest.raises(InvalidInputError, match="integers"):
+        EventOperator(projector=np.eye(2), window=np.array([1.0]))
+    for window in (np.arange(3), range(3), (np.int32(2), 0, 1)):
+        op = EventOperator(projector=np.eye(2), window=window)
+        assert op.window == (0, 1, 2)
+        assert all(type(m) is int for m in op.window)
+
+
 def test_event_probabilities():
     clock, system, ext, sub = qubit_setup()
     state = make_physical_state(sub, np.array([1.0, 1.0j]) / np.sqrt(2))
@@ -523,3 +545,36 @@ def test_conditional_states_columns_are_conditional_state(setup, seed):
     assert states.shape == (sub.space.system.n_levels, sub.space.clock.M)
     for m in range(sub.space.clock.M):
         assert np.array_equal(states[:, m], conditional_state(sub, state, m))
+
+
+@st.composite
+def population_setups(draw):
+    """1 to 6 distinct off-edge grid levels on even grids of 8 to 256 bins,
+    both signs, and a seed for the eigenbasis, coefficients and windows."""
+    M = 2 * draw(st.integers(4, 128))
+    ks = draw(st.lists(st.integers(-M // 2 + 1, M // 2 - 1),
+                       min_size=1, max_size=6, unique=True))
+    sigma = draw(st.sampled_from((1, -1)))
+    deltaT = draw(st.floats(0.05, 2.0))
+    return M, ks, sigma, deltaT, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(population_setups())
+def test_energy_populations_do_not_depend_on_the_clock_reading(setup):
+    # <P_i (x) Pi_W> = |W|/M |c_a|^2 for the level i of pair a, on any window W
+    M, ks, sigma, deltaT, seed = setup
+    rng = np.random.default_rng(seed)
+    clock = build_clock(M, deltaT, sigma=sigma)
+    energies = -sigma * np.array(ks) * clock.freq_step
+    q, _ = np.linalg.qr(rng.normal(size=(len(ks),) * 2) + 1j * rng.normal(size=(len(ks),) * 2))
+    system = build_system_space((q * energies) @ q.conj().T)  # in a random eigenbasis
+    sub = solve_constraint_spectral(build_extended(system, clock))
+    assert sub.d == len(ks)
+    state = make_physical_state(sub, rng.normal(size=sub.d) + 1j * rng.normal(size=sub.d))
+    for a, pair in enumerate(sub.pairs):
+        v = system.vectors[:, pair.i]
+        window = np.flatnonzero(rng.random(M) < rng.random())
+        expected = window.size / M * abs(state.coeffs[a]) ** 2
+        event = EventOperator(projector=np.outer(v, v.conj()), window=window)
+        assert abs(event_probability(event, sub, state) - expected) <= 1e-12

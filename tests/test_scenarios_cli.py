@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, classical,
                        constraint, parse_config, povm, quantum, serialize_config)
-from chronolab import config
+from chronolab import config, scenarios
 from chronolab.cli import _run_isolated, main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
 from chronolab.scenarios import AuditReport, CheckRecord, bundled_scenarios, run_scenario
@@ -479,6 +480,39 @@ def test_cli_sign_pair_compares_effects_in_mirror_order(tmp_path, capsys):
     assert all(r["passed"] for r in sign_pair.values())
 
 
+# the level above matched twice (k = -1 and 0), and one grid level matched once (k = -3)
+TWICE_MATCHED = MIRRORED_SIGN_PAIR.replace("povm-audit", "time-distribution").replace(
+    "system.energies = 0.11780972450961724", "system.energies = 0.11780972450961724, "
+                                              "1.1780972450961724")
+
+
+def test_population_check_skips_a_level_matched_twice(monkeypatch):
+    system = quantum.build_system_space(np.diag([0.11780972450961724, 1.1780972450961724]))
+    ext = quantum.build_extended(system, quantum.build_clock(16, 1.0))
+    pairs = constraint.solve_constraint_spectral(ext, 0.29452431127404311).pairs
+    assert [(p.i, p.k) for p in pairs] == [(0, -1), (0, 0), (1, -3)]
+    events = []
+
+    def recording(*args, _original=povm.EventOperator, **kwargs):
+        events.append(_original(*args, **kwargs))
+        return events[-1]
+
+    monkeypatch.setattr(povm, "EventOperator", recording)
+    records = {r.check_id: r for r in run_scenario(parse_config(TWICE_MATCHED)).records}
+    assert list(records)[-1] == "distribution.population_clock_independence"
+    assert records["distribution.population_clock_independence"].passed
+    # one event, on the level matched once
+    assert len(events) == 1
+    assert np.array_equal(events[0].projector, np.diag([0.0, 1.0]))
+
+    events.clear()
+    twice_only = MIRRORED_SIGN_PAIR.replace("povm-audit", "time-distribution")
+    ids = [r.check_id for r in run_scenario(parse_config(twice_only)).records]
+    assert "distribution.two_pair_fringe" in ids  # d = 2, on one level
+    assert "distribution.population_clock_independence" not in ids
+    assert events == []
+
+
 # one grid step on a fine clock: S_op's eigenvalues reach pi/deltaT ~ 1.6e4,
 # and eigvalsh rounds them by more than an absolute 1e-10
 FINE_CLOCK = """
@@ -714,11 +748,29 @@ def test_one_decomposition_per_distinct_space_per_run(decompositions):
     cfg = parse_config(RANDOM_PAIR)
     assert run_scenario(cfg).passed
     assert len(decompositions) == 1
-    rng = np.random.default_rng((cfg.seed, len(SUITE_NAMES)))
+    rng = np.random.default_rng((cfg.seed, 6))  # past the six suites' streams
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     drawn, _ = constraint.snap_energies(quantum.build_system_space(0.5 * (raw + raw.conj().T)),
                                         decompositions[0].clock)
     assert decompositions[0].system.matrix.tobytes() == drawn.matrix.tobytes()
+
+
+def test_appending_a_suite_keeps_the_random_hermitian_draw(monkeypatch):
+    cfg = parse_config(RANDOM_PAIR)
+    drawn = scenarios._system_matrix(cfg, cfg.seed)
+    monkeypatch.setattr(scenarios, "SUITE_NAMES", SUITE_NAMES + ("correspondence",))
+    assert scenarios._system_matrix(cfg, cfg.seed).tobytes() == drawn.tobytes()
+
+
+def test_every_check_id_has_one_row_in_the_readme_claim_table():
+    source = Path(scenarios.__file__).read_text(encoding="utf-8")
+    ids = re.findall(r'\b(?:run|self)\.add\(\s*"(\w+)"', source)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n### Check claims\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert len(ids) == len(set(ids)) > 40
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(ids)
 
 
 def test_one_setup_per_run(monkeypatch):
