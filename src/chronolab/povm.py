@@ -11,7 +11,8 @@ which are positive, sum to the identity, and are neither idempotent nor
 mutually orthogonal whenever d < M: the reading of each bin overlaps its
 neighbours.  The d = M control case degenerates to orthogonal projectors.
 A TimePOVM is therefore its frame W: every audited quantity is computed
-from W, not from the effect stack.  The frame is covariant under the cyclic
+from W in O(M d) or O(M d^2), and no code in the package reads the dense
+(M, d, d) effect stack.  The frame is covariant under the cyclic
 clock shift, so its Gram matrix G = W W^dag is circulant and one column of
 it carries every PM defect.
 
@@ -63,6 +64,7 @@ class TimePOVM:
 
     `frame` is the (M, d) clock-sector image W with orthonormal columns; it
     describes the POVM completely, effects[m] = W[m]^dag W[m] row by row.
+    Every method reads W; `effects` is a view for callers only.
     """
 
     frame: np.ndarray  # (M, d)
@@ -86,7 +88,9 @@ class TimePOVM:
 
     @cached_property
     def effects(self) -> np.ndarray:
-        """Dense (M, d, d) effect stack, built on first use; read-only."""
+        """Dense (M, d, d) effect stack, built on first use; read-only.
+
+        No audit reads it: at d = M = 1024 it takes 16 GiB."""
         effects = np.einsum("ma,mb->mab", self.frame.conj(), self.frame)
         effects.setflags(write=False)
         return effects
@@ -96,7 +100,20 @@ class TimePOVM:
         return float(np.max(np.abs(W.conj().T @ W - np.eye(self.d))))
 
     def min_effect_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.effects).min())
+        """Smallest eigenvalue over all effects, read from the frame in O(M d).
+
+        E_m = w_m^dag w_m has rank one: its eigenvalues are ||w_m||^2 and,
+        for d > 1, d - 1 exact zeros, so the minimum is 0.0 whenever d > 1.
+        For d = 1 each effect is the 1 x 1 product conj(W[m, 0]) W[m, 0],
+        written out as re^2 + im^2 with the effect stack's two roundings
+        (numpy's complex multiply may fuse them and round differently).
+        No effect stack is built and no batched eigensolver runs: those cost
+        O(M d^3) time and O(M d^2) memory (16 GiB at d = M = 1024).
+        """
+        if self.d > 1:
+            return 0.0
+        w = self.frame[:, 0]
+        return float((w.real * w.real + w.imag * w.imag).min())
 
 
 def clock_sector_frame(sub: PhysicalSubspace) -> np.ndarray:

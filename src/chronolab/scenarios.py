@@ -358,7 +358,7 @@ def _suite_povm_audit(run: _Run, rng):
         # same (already snapped) system and grid, opposite sign convention
         ext_b = quantum.build_extended(system, dataclasses.replace(clock, sigma=-clock.sigma))
         spectral_b = _solve_spectral(cfg, ext_b)
-        # w_-k = -w_k, so conjugate effects need each (i, k) of either sign mirrored by (i, -k)
+        # w_-k = -w_k, so conjugate frames need each (i, k) of either sign mirrored by (i, -k)
         mirrored = len({(p.i, -p.k) for p in spectral.pairs}
                        & {(p.i, p.k) for p in spectral_b.pairs})
         if mirrored != max(spectral.d, spectral_b.d):
@@ -375,8 +375,10 @@ def _suite_povm_audit(run: _Run, rng):
             measure_b = povm.build_time_povm(spectral_b)
             measure_b = dataclasses.replace(
                 measure_b, frame=np.ascontiguousarray(measure_b.frame[:, mirror]))
+            # conjugate frames give conjugate effects W[m]^dag W[m]; comparing
+            # the frames is stricter (a phase on a row moves it) and builds no stack
             run.add("sigma_pair_conjugate_effects",
-                    float(np.max(np.abs(measure_b.effects - measure.effects.conj()))),
+                    float(np.max(np.abs(measure_b.frame - measure.frame.conj()))),
                     1e-12, "<=")
             c = quantum.unit(rng.normal(size=measure.d))
             run.add("sigma_pair_real_distribution",
@@ -405,6 +407,7 @@ def _suite_time_distribution(run: _Run, rng):
     if measure is None:
         return
     d, M = measure.d, clock.M
+    levels = [pair.i for pair in spectral.pairs]
 
     single = np.zeros(d)
     single[0] = 1.0
@@ -431,7 +434,13 @@ def _suite_time_distribution(run: _Run, rng):
             stepped = quantum._eigenbasis_apply(system.vectors, step_phases, cond.T).T
             overlaps = np.sum(np.roll(cond, -1, axis=1).conj() * stepped, axis=0)
             worst = min(worst, float(np.min(np.abs(overlaps))))
-        run.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=")
+        # a level matched twice keeps a pair off the kernel by its mismatch, so
+        # its conditional states cannot step by exp(-i sigma H_s deltaT)
+        repeated = sorted({i for i in levels if levels.count(i) > 1})
+        run.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=",
+                note=f"levels {repeated} matched more than once: each pair steps by "
+                     "its clock frequency, off the level energy by its mismatch"
+                     if repeated else "")
 
     sums = 0.0
     for _ in range(100):
@@ -441,7 +450,6 @@ def _suite_time_distribution(run: _Run, rng):
 
     # energy populations do not depend on the clock reading: a level i matched
     # once, as pair a, gives <P_i (x) Pi_W> = |W|/M |c_a|^2 on any window W
-    levels = [pair.i for pair in spectral.pairs]
     once = [a for a, i in enumerate(levels) if levels.count(i) == 1]
     if once:
         state = constraint.make_physical_state(spectral, _random_unit(rng, d))

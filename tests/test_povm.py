@@ -477,6 +477,24 @@ PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(4, 32), st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_min_effect_eigenvalue_matches_the_dense_effects(half_M, d, orthonormal, seed):
+    # orthonormal columns as the package builds them, or raw Gaussian rows
+    rng = np.random.default_rng(seed)
+    M = 2 * half_M
+    W = rng.normal(size=(M, d)) + 1j * rng.normal(size=(M, d))
+    if orthonormal:
+        W = np.linalg.qr(W)[0]
+    povm = TimePOVM(frame=W, times=0.25 * np.arange(M), deltaT=0.25, sigma=1)
+    reference = float(np.linalg.eigvalsh(povm.effects).min())
+    if d == 1:
+        assert povm.min_effect_eigenvalue() == reference
+    else:
+        scale = max(1.0, float(np.max(np.sum(np.abs(W) ** 2, axis=1))))
+        assert abs(povm.min_effect_eigenvalue() - reference) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
 @given(plane_wave_setups())
 def test_pm_report_matches_brute_force(setup):
     _, povm = plane_wave_povm(*setup)

@@ -513,6 +513,53 @@ def test_population_check_skips_a_level_matched_twice(monkeypatch):
     assert events == []
 
 
+def test_conditional_fidelity_names_the_levels_matched_twice():
+    records = {r.check_id: r for r in run_scenario(parse_config(TWICE_MATCHED)).records}
+    fidelity = records["distribution.conditional_propagator_fidelity"]
+    # the failure stands: level 0's second pair sits off the kernel by its mismatch
+    assert not fidelity.passed
+    assert abs(fidelity.value - 0.565) < 1e-3
+    assert fidelity.threshold == 1.0 - 1e-10
+    assert fidelity.note.startswith("levels [0] matched more than once")
+    # a run whose levels are each matched once keeps an empty note
+    records = {r.check_id: r for r in run_scenario(parse_config(QUBIT)).records}
+    assert records["distribution.conditional_propagator_fidelity"].note == ""
+
+
+# one level matching every clock frequency: d = M = 1024, so the dense
+# (M, d, d) effect stack would take 16 GiB
+WIDE_EPS = """
+scenario = wide_eps
+suites = povm-audit
+system.kind = explicit-matrix
+system.energies = 0.0
+clock.M = 1024
+clock.deltaT = 0.25
+tolerances.eps_match = 1000000.0
+"""
+
+
+def test_no_run_reads_the_effect_stack(monkeypatch, tmp_path, capsys):
+    bundled = {cfg.scenario: cfg for cfg in bundled_scenarios()}
+    names = ("qubit_commensurate", "oscillator_snapped", "sign_pair")
+    flags = {name: [(r.check_id, r.passed) for r in run_scenario(bundled[name]).records]
+             for name in names}
+
+    def refuse(self):
+        raise AssertionError("the dense effect stack was read")
+
+    monkeypatch.setattr(povm.TimePOVM, "effects", property(refuse))
+    for name in names:
+        assert [(r.check_id, r.passed) for r in run_scenario(bundled[name]).records] \
+            == flags[name]
+    cfg_path = tmp_path / "wide_eps.cfg"
+    cfg_path.write_text(WIDE_EPS)
+    assert main(["povm-audit", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert "OK: wide_eps (5/5 checks)" in captured.out
+    assert "Traceback" not in captured.err
+
+
 # one grid step on a fine clock: S_op's eigenvalues reach pi/deltaT ~ 1.6e4,
 # and eigvalsh rounds them by more than an absolute 1e-10
 FINE_CLOCK = """
