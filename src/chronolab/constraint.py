@@ -159,9 +159,13 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
     eps = default_eps_match(ext) if eps_eig is None else float(eps_eig)
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidInputError("eps_eig must be positive and finite")
-    lam, _ = ext.eigensystem()
-    # columns of the unitary W: orthonormal as they stand
-    basis = ext.eigenvectors(np.flatnonzero(np.abs(lam) <= eps))
+    # each block's near-null eigenvectors on its own rows: orthonormal as they stand
+    kept = [(rows, vectors[:, np.abs(values) <= eps])
+            for rows, values, vectors in ext.eigensystem()]
+    ends = np.cumsum([vectors.shape[1] for _, vectors in kept])
+    basis = np.zeros((ext.dim, ends[-1]), dtype=complex)
+    for (rows, vectors), end in zip(kept, ends):
+        basis[rows, end - vectors.shape[1]:end] = vectors
     pairs, misses = _match_levels(ext, eps)
     return PhysicalSubspace(space=ext, basis=basis, pairs=tuple(pairs), eps=eps,
                             misses=tuple(misses), method="kernel")

@@ -20,10 +20,9 @@ bins, each built from H_s and the dense S_op alone.  eigensystem() reads
 only those blocks, so no (dim, dim) generator is formed; `hamiltonian`,
 their scatter into one, is for tests and users.  The dense views are
 built only for the oracles, and only they check the dense-solver budget,
-before they allocate.  eigensystem() keeps its eigenvectors in their
-blocks, and the dense evolution applies each block to its own rows: no
-(dim, dim) eigenvector matrix is formed; `eigenvectors(cols)` gives dense
-columns.
+before they allocate.  eigensystem() hands out its eigenpairs block by
+block, and each reader takes one block at a time: no (dim, dim)
+eigenvector matrix is formed.
 """
 
 from __future__ import annotations
@@ -301,47 +300,19 @@ class ExtendedSpace:
         return H_ex
 
     def eigensystem(self):
-        """Cached dense eigendecomposition of H_ex (the oracle path), as
-        (lam, blocks).
-
-        One eigh per block of `_blocks`, that is per connected component of
-        H_s over all M bins, whose entries are assembled from the two
-        factor matrices alone: a permutation that makes H_ex
-        block-diagonal is an exact similarity, so each block's eigenpairs,
-        placed on the block's rows, are eigenpairs of H_ex.  No (dim, dim)
-        array is formed.  lam ascends, ties in component order.  `blocks`
-        holds one (rows, cols, vectors) per component, the nonzero part
-        W[rows, cols] of those columns of the eigenvector matrix W, which is
-        never formed (see `eigenvectors`).
+        """Cached dense eigendecomposition of H_ex (the oracle path): one
+        (rows, values, vectors) per block of `_blocks`, in block order, as
+        its eigh gives them.  A permutation that makes H_ex block-diagonal
+        is an exact similarity, so each block's eigenpairs, placed on its
+        rows, are eigenpairs of H_ex; no (dim, dim) array is formed.
         """
         if self._eig is None:
-            components, pairs = [], []
-            for rows, block in self._blocks():
-                components.append(rows)
-                pairs.append(_decompose(np.linalg.eigh, block))
-            values = np.concatenate([block_values for block_values, _ in pairs])
-            order = np.argsort(values, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(self.dim)  # a block's cols ascend, as its values
-            cols = np.split(rank, np.cumsum([rows.size for rows in components])[:-1])
-            blocks = tuple(zip(components, cols, [vectors for _, vectors in pairs]))
-            lam = values[order]
-            for arr in (lam, *(arr for block in blocks for arr in block)):
+            eig = tuple((rows, *_decompose(np.linalg.eigh, block))
+                        for rows, block in self._blocks())
+            for arr in (arr for block in eig for arr in block):
                 arr.setflags(write=False)
-            self._eig = (lam, blocks)
+            self._eig = eig
         return self._eig
-
-    def eigenvectors(self, cols) -> np.ndarray:
-        """Columns `cols` (a 1-d index) of the eigenvector matrix W of
-        `eigensystem()`, as a dense (dim, len(cols)) array."""
-        _, blocks = self.eigensystem()
-        cols = np.arange(self.dim)[cols]
-        out = np.zeros((self.dim, cols.size), dtype=complex)
-        for rows, block_cols, vectors in blocks:
-            at = np.searchsorted(block_cols, cols).clip(max=block_cols.size - 1)
-            hit = block_cols[at] == cols
-            out[np.ix_(rows, np.flatnonzero(hit))] = vectors[:, at[hit]]
-        return out
 
 
 def _decompose(decompose, H: np.ndarray):
@@ -404,7 +375,7 @@ def _kron_sums(ext: ExtendedSpace) -> np.ndarray:
 def verify_kronecker_spectrum(ext: ExtendedSpace) -> float:
     """Max deviation of eig(H_ex) from the sums E_i + sigma * w_k."""
     expected = np.sort(_kron_sums(ext).ravel())
-    actual, _ = ext.eigensystem()
+    actual = np.sort(np.concatenate([values for _, values, _ in ext.eigensystem()]))
     return float(np.max(np.abs(actual - expected)))
 
 
@@ -477,11 +448,11 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
         block = _clock_apply(_phases(theta, clk.frequencies, ext.sigma), block)
         return block.reshape(block.shape[:-2] + (ext.dim,))
     if method == "dense":
-        lam, blocks = ext.eigensystem()
-        phases = _phases(theta[..., None], lam)
-        out = np.empty(np.broadcast_shapes(psi.shape, phases.shape), dtype=complex)
-        for rows, cols, vectors in blocks:  # each block on its own rows
-            out[..., rows] = _eigenbasis_apply(vectors, phases[..., cols], psi[..., rows])
+        out = np.empty(np.broadcast_shapes(psi.shape[:-1], theta.shape) + (ext.dim,),
+                       dtype=complex)
+        for rows, values, vectors in ext.eigensystem():  # each block on its own rows
+            out[..., rows] = _eigenbasis_apply(vectors, _phases(theta[..., None], values),
+                                               psi[..., rows])
         return out
     raise InvalidInputError(f"unknown evolution method {method!r}")
 

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from chronolab import (
     gaussian_clock_state,
     parse_config,
     quantum,
+    scenarios,
 )
+from chronolab.config import ScenarioConfig
 from chronolab.scenarios import run_scenario
 from chronolab.quantum import verify_kronecker_spectrum
 
@@ -254,9 +257,11 @@ def test_kronecker_spectrum_reuses_the_eigensystem():
     clock = build_clock(8, 1.0)
     ext = build_extended(build_system_space(np.diag([0.0, 0.3])), clock)
     assert verify_kronecker_spectrum(ext) < 1e-10
-    lam, _ = ext.eigensystem()
+    blocks = ext.eigensystem()
+    lam = np.sort(np.concatenate([values for _, values, _ in blocks]))
     expected = np.sort((ext.system.energies[:, None] + clock.frequencies).ravel())
     assert verify_kronecker_spectrum(ext) == float(np.max(np.abs(lam - expected)))
+    assert ext.eigensystem() is blocks
 
 
 def test_kronecker_sum_spectrum():
@@ -290,10 +295,13 @@ def test_spectrum_shifts_with_sigma():
 # --- the dense oracle, one decoupled block at a time -------------------------
 
 def coupled_system(kind, n, rng):
-    """A system matrix of the given coupling: `diagonal`, `two-blocks`
-    (two coupled Hermitian blocks) or `random` (coupled throughout)."""
+    """A system matrix of the given coupling: `diagonal`, `degenerate`
+    (diagonal, with at most two distinct levels), `two-blocks` (two coupled
+    Hermitian blocks) or `random` (coupled throughout)."""
     if kind == "diagonal":
         return np.diag(rng.normal(size=n))
+    if kind == "degenerate":
+        return np.diag(rng.choice(rng.normal(size=2), size=n))
     if kind == "two-blocks":
         cut = n // 2
         matrix = np.zeros((n, n), dtype=complex)
@@ -303,30 +311,68 @@ def coupled_system(kind, n, rng):
     return random_hermitian(rng, n)
 
 
-@settings(deadline=None, derandomize=True, max_examples=40)
-@given(kind=st.sampled_from(("diagonal", "two-blocks", "random")),
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(kind=st.sampled_from(("diagonal", "degenerate", "two-blocks", "random")),
        n=st.integers(2, 6), M=st.integers(4, 16).map(lambda half: 2 * half),
-       sigma=st.sampled_from((1, -1)), seed=st.integers(0, 2 ** 32 - 1))
-def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, seed):
-    system = build_system_space(coupled_system(kind, n, np.random.default_rng(seed)))
-    ext = build_extended(system, build_clock(M, 0.3, sigma=sigma))
+       sigma=st.sampled_from((1, -1)), snap=st.booleans(), gap=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, snap, gap, seed):
+    rng = np.random.default_rng(seed)
+    system = build_system_space(coupled_system(kind, n, rng))
+    clock = build_clock(M, 0.3, sigma=sigma)
+    if snap:  # levels on the grid: H_ex has an exact kernel
+        system, _ = constraint.snap_energies(system, clock)
+    ext = build_extended(system, clock)
     H = ext.hamiltonian
     scale = max(1.0, float(np.linalg.norm(H, np.inf)))
-    lam, _ = ext.eigensystem()
-    W = ext.eigenvectors(np.arange(ext.dim))
-    assert np.all(np.diff(lam) >= 0)
-    assert np.max(np.abs(lam - np.linalg.eigvalsh(H))) <= 1e-12 * scale
-    assert np.max(np.abs(W.conj().T @ W - np.eye(ext.dim))) <= 1e-12
-    assert np.max(np.abs(H @ W - W * lam)) <= 1e-11 * scale
-    # every eigenvector lives on the levels of one decoupled system block
-    levels = {"diagonal": np.arange(n), "two-blocks": np.arange(n) >= n // 2,
-              "random": np.zeros(n)}[kind]
-    support = np.abs(W.reshape(n, M, ext.dim)).max(axis=1) > 0
-    for column in support.T:
-        assert np.unique(levels[column]).size == 1
-    if kind == "random":  # one component: eigh of the assembled matrix itself
-        lam_ref, W_ref = np.linalg.eigh(H)
-        assert np.array_equal(lam, lam_ref) and np.array_equal(W, W_ref)
+    blocks = ext.eigensystem()
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _, _ in blocks])),
+                          np.arange(ext.dim))
+    # every block lives on the levels of one decoupled system block, and is
+    # an eigendecomposition of H_ex on its own rows
+    levels = {"diagonal": np.arange(n), "degenerate": np.arange(n),
+              "two-blocks": np.arange(n) >= n // 2, "random": np.zeros(n)}[kind]
+    for rows, values, vectors in blocks:
+        assert np.unique(levels[rows // M]).size == 1
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(rows.size))) <= 1e-12
+        assert (np.max(np.abs((vectors * values) @ vectors.conj().T - H[np.ix_(rows, rows)]))
+                <= 1e-11 * scale)
+    lam_ref, W_ref = np.linalg.eigh(H)
+    spectrum = np.sort(np.concatenate([values for _, values, _ in blocks]))
+    assert np.max(np.abs(spectrum - lam_ref)) <= 1e-12 * scale
+    if len(blocks) == 1:  # one component: eigh of the assembled matrix itself
+        (rows, values, vectors), = blocks
+        assert np.array_equal(rows, np.arange(ext.dim))
+        assert np.array_equal(values, lam_ref) and np.array_equal(vectors, W_ref)
+
+    # the kernel route spans the near-null eigenspace of the plain eigh, for
+    # an eps halfway across one of the lowest gaps in |spectrum|
+    magnitudes = np.sort(np.abs(lam_ref))
+    gaps = np.flatnonzero(np.diff(magnitudes) > 1e-3 * scale)
+    if gaps.size:
+        j = gaps[min(gap, gaps.size - 1)]
+        eps = 0.5 * (magnitudes[j] + magnitudes[j + 1])
+        kernel = constraint.solve_constraint_kernel(ext, eps).basis
+        reference = W_ref[:, np.abs(lam_ref) <= eps]
+        assert kernel.shape == reference.shape
+        assert np.max(constraint.principal_angles(kernel, reference)) <= 1e-8
+
+    # eigenstate_energy_spread reads an eigenvector of the lowest eigenvalue
+    run = scenarios._Run(ScenarioConfig(), seed)
+    run.ext = ext
+    states = []
+
+    def recording(ext, psi, _original=quantum.uncertainty_product):
+        states.append(psi)
+        return _original(ext, psi)
+
+    with mock.patch.object(quantum, "uncertainty_product", recording):
+        scenarios._suite_quantum_equivalence(run, rng)
+    assert run.records[-1].check_id.endswith("eigenstate_energy_spread")
+    lowest = states[-1]
+    assert abs(np.linalg.norm(lowest) - 1.0) <= 1e-12
+    assert np.max(np.abs(H @ lowest - lam_ref[0] * lowest)) <= 1e-11 * scale
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -394,20 +440,6 @@ def test_components_follow_the_symmetric_zero_pattern():
     assert [list(rows) for rows in quantum._connected_components(one_sided)] == [[0, 2], [1]]
 
 
-def test_eigenvectors_reads_any_one_dimensional_index():
-    ext = build_extended(build_system_space(np.diag([0.0, 0.4, 1.1])), build_clock(8, 0.5))
-    lam, blocks = ext.eigensystem()
-    W = np.zeros((ext.dim, ext.dim), dtype=complex)
-    for rows, cols, vectors in blocks:
-        W[np.ix_(rows, cols)] = vectors
-    assert np.array_equal(ext.eigenvectors(np.arange(ext.dim)), W)
-    assert np.array_equal(ext.eigenvectors([-1, 0]), W[:, [-1, 0]])
-    assert np.array_equal(ext.eigenvectors(slice(2, 9, 3)), W[:, 2:9:3])
-    assert ext.eigenvectors([]).shape == (ext.dim, 0)
-    with pytest.raises(IndexError):
-        ext.eigenvectors([ext.dim])
-
-
 STEP = 2 * np.pi / (32 * 0.25)
 TOY_DENSE_GRID = f"""
 scenario = toy_dense_grid
@@ -434,10 +466,10 @@ def test_a_dense_grid_run_keeps_its_eigenvectors_in_their_blocks(monkeypatch):
     decomposed = [ext for ext in built if ext._eig is not None]
     assert len(decomposed) == 1
     ext = decomposed[0]
-    lam, blocks = ext._eig
+    blocks = ext._eig
     assert len(blocks) == 4  # one block per level
-    arrays = [lam] + [arr for block in blocks for arr in block]
-    assert all(max(arr.shape) < ext.dim for arr in arrays[1:]) and lam.shape == (ext.dim,)
+    arrays = [arr for block in blocks for arr in block]
+    assert all(max(arr.shape) < ext.dim for arr in arrays)
     assert not any(arr.flags.writeable for arr in arrays)
-    assert np.array_equal(np.sort(np.concatenate([cols for _, cols, _ in blocks])),
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _, _ in blocks])),
                           np.arange(ext.dim))

@@ -526,6 +526,32 @@ def test_conditional_fidelity_names_the_levels_matched_twice():
     assert records["distribution.conditional_propagator_fidelity"].note == ""
 
 
+# two levels matched once each, both off the grid by less than eps_match
+OFF_GRID = """
+scenario = off_grid
+suites = time-distribution
+system.kind = explicit-matrix
+system.energies = 0.1, 1.2
+clock.M = 16
+clock.deltaT = 1.0
+tolerances.eps_match = 0.19
+"""
+
+
+def test_cli_conditional_fidelity_names_the_levels_matched_off_the_grid(tmp_path, capsys):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(OFF_GRID)
+    code = main(["time-distribution", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 1  # the failure stands: each pair steps by its clock frequency
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    fidelity, = (r for r in report["records"]
+                 if r["check_id"] == "distribution.conditional_propagator_fidelity")
+    assert not fidelity["passed"]
+    assert abs(fidelity["value"] - 0.999238) < 1e-6
+    assert fidelity["note"].startswith("levels [0, 1] matched off the grid")
+
+
 # one level matching every clock frequency: d = M = 1024, so the dense
 # (M, d, d) effect stack would take 16 GiB
 WIDE_EPS = """
