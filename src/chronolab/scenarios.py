@@ -244,9 +244,13 @@ def _suite_quantum_equivalence(run: _Run, rng):
     two = quantum.evolve_extended(ext, quantum.evolve_extended(ext, psi, 0.3), 0.4)
     run.add("group_law_fidelity", quantum.fidelity(one, two), 1.0 - 1e-11, ">=")
 
+    width = clock.M * clock.deltaT / 20  # gaussian_clock_state's default width
     run.add("commutator_residual_gaussian",
             quantum.commutator_residual(clock, quantum.gaussian_clock_state(clock)),
-            1e-6, "<=")
+            1e-6, "<=",
+            note="" if width >= clock.deltaT else
+            f"the default packet width M*deltaT/20 = {width:.6g} is below the clock step "
+            f"deltaT = {clock.deltaT:.6g}: the grid does not resolve the packet")
 
     packet = quantum.gaussian_clock_state(clock, width=clock.M * clock.deltaT / 16)
     ground = system.eigenstate(0)
@@ -285,10 +289,12 @@ def _suite_constraint_solve(run: _Run, rng):
         angles = constraint.principal_angles(spectral.basis, kernel.basis)
         run.add("principal_angle", float(np.max(angles)), 1e-8, "<=")
     if spectral.d:
+        causes = _mismatch_causes(spectral.pairs)
+        note = causes and causes + ": each pair sits off the kernel by its mismatch"
         scale = max(1.0, float(np.max(np.abs(quantum._kron_sums(ext)))))  # ||H_ex||_2
         worst = max(constraint.constraint_residual(ext, spectral.basis[:, a])
                     for a in range(spectral.d))
-        run.add("basis_residual", worst, 1e-9 * scale, "<=")
+        run.add("basis_residual", worst, 1e-9 * scale, "<=", note=note)
 
         gram = spectral.basis.conj().T @ spectral.basis
         run.add("basis_orthonormality",
@@ -300,7 +306,7 @@ def _suite_constraint_solve(run: _Run, rng):
         restricted = spectral.basis.conj().T @ s_basis.T
         expected = np.diag([-clock.sigma * p.energy for p in spectral.pairs])
         run.add("restricted_s_matrix",
-                float(np.max(np.abs(restricted - expected))), 1e-9, "<=")
+                float(np.max(np.abs(restricted - expected))), 1e-9, "<=", note=note)
 
         state = constraint.make_physical_state(spectral, _random_unit(rng, spectral.d))
         marg = constraint.physical_clock_marginal(state)
@@ -308,7 +314,7 @@ def _suite_constraint_solve(run: _Run, rng):
                 float(np.max(np.abs(marg - 1.0 / clock.M))), 1e-10, "<=")
 
         stat = constraint.stationarity_check(ext, state, (0.1, 1.0, 10.0))
-        run.add("stationarity_fidelity", stat.min_fidelity, 1.0 - 1e-10, ">=")
+        run.add("stationarity_fidelity", stat.min_fidelity, 1.0 - 1e-10, ">=", note=note)
 
 
 def _time_povm(run: _Run) -> povm.TimePOVM | None:
@@ -332,6 +338,17 @@ def _time_povm(run: _Run) -> povm.TimePOVM | None:
 def _shared_frequencies(pairs) -> int:
     """Matched pairs past the first on each clock frequency; a time POVM needs none."""
     return len(pairs) - len({pair.k for pair in pairs})
+
+
+def _mismatch_causes(pairs) -> str:
+    """The levels whose pairs sit off the kernel, for a check's note: those
+    matched more than once, then those matched once but off the grid
+    (mismatch > 0); empty when every pair is exact."""
+    levels = [pair.i for pair in pairs]
+    repeated = sorted({i for i in levels if levels.count(i) > 1})
+    off_grid = sorted({pair.i for pair in pairs if pair.mismatch > 0} - set(repeated))
+    return "; ".join(f"levels {named} matched {how}" for named, how in
+                     ((repeated, "more than once"), (off_grid, "off the grid")) if named)
 
 
 def _suite_povm_audit(run: _Run, rng):
@@ -437,14 +454,9 @@ def _suite_time_distribution(run: _Run, rng):
             stepped = quantum._eigenbasis_apply(system.vectors, step_phases, cond.T).T
             overlaps = np.sum(np.roll(cond, -1, axis=1).conj() * stepped, axis=0)
             worst = min(worst, float(np.min(np.abs(overlaps))))
-        # a level matched twice, or matched off the grid, keeps a pair off the
-        # kernel by its mismatch, so its conditional states cannot step by
-        # exp(-i sigma H_s deltaT)
-        repeated = sorted({i for i in levels if levels.count(i) > 1})
-        off_grid = sorted({pair.i for pair in spectral.pairs if pair.mismatch > 0}
-                          - set(repeated))
-        causes = "; ".join(f"levels {named} matched {how}" for named, how in
-                           ((repeated, "more than once"), (off_grid, "off the grid")) if named)
+        # a pair off the kernel by its mismatch has conditional states that
+        # cannot step by exp(-i sigma H_s deltaT)
+        causes = _mismatch_causes(spectral.pairs)
         run.add("conditional_propagator_fidelity", worst, 1.0 - 1e-10, ">=",
                 note=causes and causes + ": each pair steps by its clock frequency, off "
                      "the level energy by its mismatch")

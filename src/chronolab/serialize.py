@@ -1,8 +1,18 @@
-"""JSON container for the physical-subspace basis and CSV emitters for plot data.
+"""JSON container for the physical subspace and CSV emitters for plot data.
 
 Complex arrays travel as row-major [re, im] pairs together with shape,
 basis-ordering tag, the sign convention and the clock-grid metadata.
 Floats are serialized via repr, so the entries keep full double precision.
+
+A spectral physical subspace is written by its factors, never as its dense
+(n_levels * M, d) basis: the (n_levels, d) system factors, whose column a is
+pair a's system eigenvector, and the pair table, whose k gives the clock
+factor.  Column a of the basis is the product |E_i> (x) |w_k>, so
+
+    basis[i * M + m, a] = F[i, a] * exp(2 pi i k_a m / M) / sqrt(M),
+
+which rebuilds the basis bit-for-bit as `separable_state(F.T,
+clock.plane_wave(ks)).T`, the expression `solve_constraint_spectral` uses.
 """
 
 from __future__ import annotations
@@ -40,11 +50,16 @@ def array_to_container(arr, sigma=None, grid=None) -> dict:
 
 
 def subspace_to_container(sub) -> dict:
-    """Physical subspace: basis container plus the matched-pair table."""
+    """Spectral physical subspace: its system factors plus the matched-pair
+    table; a kernel-route basis is not a product, so it has no such form."""
+    if sub.method != "spectral":
+        raise InvalidInputError(
+            f"only a spectral subspace is written by its factors, got method {sub.method!r}")
     clock = sub.space.clock
+    levels = [pair.i for pair in sub.pairs]
     return {
-        "basis": array_to_container(sub.basis, sigma=clock.sigma,
-                                    grid=_grid_metadata(clock)),
+        "system_factors": array_to_container(sub.space.system.vectors[:, levels],
+                                             sigma=clock.sigma, grid=_grid_metadata(clock)),
         "pairs": [
             {"i": p.i, "k": p.k, "E_i": p.energy, "s_k": p.s_value,
              "mismatch": p.mismatch}

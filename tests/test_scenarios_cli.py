@@ -552,6 +552,33 @@ def test_cli_conditional_fidelity_names_the_levels_matched_off_the_grid(tmp_path
     assert fidelity["note"].startswith("levels [0, 1] matched off the grid")
 
 
+# the same off-grid pairs fail the constraint checks by their mismatch, and
+# M = 16 puts the default clock packet (width M*deltaT/20 = 0.8) below one
+# grid step; each failure stands and its note says why
+@pytest.mark.parametrize("command, notes", [
+    ("quantum-equivalence", {
+        "quantum.commutator_residual_gaussian":
+            "the default packet width M*deltaT/20 = 0.8 is below the clock step deltaT = 1"}),
+    ("constraint-solve", {
+        check_id: "levels [0, 1] matched off the grid: each pair sits off the kernel"
+        for check_id in ("constraint.basis_residual", "constraint.restricted_s_matrix",
+                         "constraint.stationarity_fidelity")}),
+])
+def test_cli_failures_on_a_coarse_off_grid_run_carry_notes(tmp_path, capsys, command, notes):
+    cfg_path = tmp_path / "input.cfg"
+    cfg_path.write_text(OFF_GRID)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    failed = {r["check_id"]: r["note"] for r in report["records"] if not r["passed"]}
+    assert set(failed) == set(notes)
+    for check_id, note in notes.items():
+        assert failed[check_id].startswith(note)
+    passed_notes = [r["note"] for r in report["records"] if r["passed"]]
+    assert passed_notes == [""] * len(passed_notes)
+
+
 # one level matching every clock frequency: d = M = 1024, so the dense
 # (M, d, d) effect stack would take 16 GiB
 WIDE_EPS = """

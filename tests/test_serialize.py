@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolab import InvalidInputError, build_clock, build_extended, build_system_space
+from chronolab import separable_state, snap_energies, solve_constraint_kernel
 from chronolab import solve_constraint_spectral
 from chronolab.serialize import (
     array_to_container,
@@ -17,6 +20,27 @@ def decode(doc):
     """The container's entries as the complex array they were packed from."""
     pairs = np.array(doc["entries"], dtype=float).reshape(-1, 2)
     return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(doc["shape"])
+
+
+def rebuild(doc):
+    """The basis from a subspace container's factors, as
+    `solve_constraint_spectral` builds it: one product per pair."""
+    factors = decode(doc["system_factors"])
+    grid = doc["system_factors"]["grid"]
+    clock = build_clock(grid["M"], grid["deltaT"], grid["T0"], doc["system_factors"]["sigma"])
+    ks = np.array([pair["k"] for pair in doc["pairs"]], dtype=int)
+    return separable_state(factors.T, clock.plane_wave(ks)).T
+
+
+def rebuild_plain(doc):
+    """The same basis by the documented formula in plain numpy:
+    basis[i * M + m, a] = F[i, a] * exp(2 pi i k_a m / M) / sqrt(M)."""
+    factors = decode(doc["system_factors"])
+    M = doc["system_factors"]["grid"]["M"]
+    ks = np.array([pair["k"] for pair in doc["pairs"]], dtype=int)
+    waves = np.exp(2j * np.pi * ks[:, None] * np.arange(M) / M) / np.sqrt(M)
+    products = factors.T[:, :, None] * waves[:, None, :]  # (d, n_levels, M)
+    return products.reshape(ks.size, factors.shape[0] * M).T
 
 
 def test_container_roundtrip_preserves_doubles():
@@ -66,9 +90,77 @@ def test_subspace_container_contents():
     for pair in doc["pairs"]:
         assert pair["mismatch"] < 1e-12
         assert pair["s_k"] == pytest.approx(-pair["E_i"], abs=1e-12)
-    basis = decode(doc["basis"])
-    assert np.array_equal(basis, sub.basis)
+    assert "basis" not in doc
+    factors = doc["system_factors"]
+    assert factors["shape"] == [2, 2]
+    assert factors["sigma"] == 1
+    assert factors["grid"] == {"M": 16, "deltaT": 0.5, "T0": 0.0}
+    assert np.array_equal(decode(factors), sub.space.system.vectors[:, [0, 1]])
+    assert np.array_equal(rebuild(doc), sub.basis)
+    assert np.array_equal(rebuild_plain(doc), sub.basis)
     json.dumps(doc)  # must be serializable as-is
+
+
+def test_kernel_subspace_is_not_written():
+    clock = build_clock(16, 0.5)
+    ext = build_extended(build_system_space(np.diag([0.0, 4 * clock.freq_step])), clock)
+    with pytest.raises(InvalidInputError, match="kernel"):
+        subspace_to_container(solve_constraint_kernel(ext))
+
+
+@pytest.mark.parametrize("M", [16, 1024])
+def test_subspace_container_size_does_not_grow_with_the_clock(M):
+    system = build_system_space(np.diag([0.0, 0.1, 2.0]))
+    sub = solve_constraint_spectral(build_extended(system, build_clock(M, 0.5)))
+    assert sub.d == 3
+    factors = subspace_to_container(sub)["system_factors"]
+    assert factors["shape"] == [3, 3]
+    assert len(factors["entries"]) == 3 * 3  # n_levels * d, whatever M
+
+
+def test_empty_subspace_writes_no_factor_columns():
+    clock = build_clock(16, 0.5)
+    sub = solve_constraint_spectral(build_extended(
+        build_system_space(np.diag([0.3, 0.7])), clock), 0.01)
+    assert sub.d == 0
+    doc = json.loads(json.dumps(subspace_to_container(sub)))
+    assert doc["system_factors"]["shape"] == [2, 0]
+    assert doc["system_factors"]["entries"] == []
+    assert [miss["i"] for miss in doc["misses"]] == [0, 1]
+    assert rebuild(doc).shape == sub.basis.shape == (32, 0)
+
+
+@st.composite
+def spectral_subspaces(draw):
+    """Diagonal systems off the grid by less than half a step, and snapped
+    random-hermitian ones, under either sign, on M in {8, 16, 64, 1024};
+    a narrow eps_match leaves levels unmatched, a wide one matches a level
+    more than once."""
+    M = draw(st.sampled_from([8, 16, 64, 1024]))
+    clock = build_clock(M, draw(st.sampled_from([0.25, 1.0, 3.0])),
+                        sigma=draw(st.sampled_from([1, -1])))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-M // 2, M // 2 - 1), min_size=n, max_size=n))
+        offsets = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
+        system = build_system_space(np.diag(clock.freq_step * (np.array(ks) + offsets)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        system, _ = snap_energies(build_system_space(0.5 * (raw + raw.conj().T)), clock)
+    eps = draw(st.sampled_from([None, 0.3, 1.2]))
+    return solve_constraint_spectral(build_extended(system, clock),
+                                     eps and eps * clock.freq_step)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(spectral_subspaces())
+def test_subspace_container_rebuilds_the_basis_bit_for_bit(sub):
+    doc = json.loads(json.dumps(subspace_to_container(sub), sort_keys=True))
+    assert doc["d"] == sub.d
+    assert doc["system_factors"]["shape"] == [sub.space.system.n_levels, sub.d]
+    assert np.array_equal(rebuild(doc), sub.basis)
+    assert np.array_equal(rebuild_plain(doc), sub.basis)
 
 
 def test_distribution_csv(tmp_path):
