@@ -3,8 +3,10 @@
 Two independent routes extract it.  The spectral route matches system
 energies against the clock frequency grid (E_i + sigma w_k = 0) and emits
 product vectors; the kernel route eigendecomposes the assembled H_ex (one
-eigh per exactly decoupled block of its zero pattern, see
-ExtendedSpace.eigensystem) and keeps the near-null eigenvectors.  On
+block per exactly decoupled component of its zero pattern, each with its
+own eigh or an earlier block's eigenvectors certified on it by their
+residual, see ExtendedSpace.eigensystem) and keeps the near-null
+eigenvectors.  On
 commensurate spectra the two must agree, which is the main cross-method
 oracle of the test suite.
 

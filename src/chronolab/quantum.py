@@ -22,7 +22,10 @@ their scatter into one, is for tests and users.  The dense views are
 built only for the oracles, and only they check the dense-solver budget,
 before they allocate.  eigensystem() hands out its eigenpairs block by
 block, and each reader takes one block at a time: no (dim, dim)
-eigenvector matrix is formed.
+eigenvector matrix is formed.  Blocks that are shifted copies of one
+another, as the E_i I + sigma S_op of uncoupled levels are, share one
+eigh: a later block keeps an earlier block's eigenvectors only when its
+own residual on them certifies them (see ExtendedSpace.eigensystem).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 MAX_EXTENDED_DIM = 8192
+REUSE_RESIDUAL_TOL = 1e-12  # relative max-entry residual of a reused eigenbasis
 
 
 def unit(vec) -> np.ndarray:
@@ -301,18 +305,56 @@ class ExtendedSpace:
 
     def eigensystem(self):
         """Cached dense eigendecomposition of H_ex (the oracle path): one
-        (rows, values, vectors) per block of `_blocks`, in block order, as
-        its eigh gives them.  A permutation that makes H_ex block-diagonal
-        is an exact similarity, so each block's eigenpairs, placed on its
+        (rows, values, vectors) per block of `_blocks`, in block order,
+        values ascending.  A permutation that makes H_ex block-diagonal is
+        an exact similarity, so each block's eigenpairs, placed on its
         rows, are eigenpairs of H_ex; no (dim, dim) array is formed.
+
+        A block B first tries the eigenvectors V of the last block of its
+        size that eigh decomposed.  It keeps them, with the Rayleigh values
+        Re diag(V^dag B V), if the residual R = B V - V diag(values) has
+        max|R| <= REUSE_RESIDUAL_TOL max(1, max|values|) and the values
+        ascend; otherwise it runs its own eigh.  So the blocks
+        E_i I + sigma S_op of uncoupled levels, shifted copies of one
+        another, share one eigh and one `vectors` array: a shifted copy
+        meets the bound at rounding level, about 1e-15 relative up to
+        M = 1024.  With V unitary, B - V diag(values) V^dag = R V^dag is
+        Hermitian with 2-norm ||R||_2 <= size max|R|, so by Kahan's
+        residual bound (Parlett, The Symmetric Eigenvalue Problem, ch. 11)
+        the ascending values are B's eigenvalues, and the pair reproduces
+        B, to within that norm.  B V reads every entry of B, so a block
+        mis-assembled past the bound is never served another block's
+        spectrum: it fails the certificate and takes its own eigh, or
+        passes it with its own wrong spectrum, and the checks read that.
         """
         if self._eig is None:
-            eig = tuple((rows, *_decompose(np.linalg.eigh, block))
-                        for rows, block in self._blocks())
+            eig, decomposed = [], {}  # block size -> vectors of its last eigh
+            for rows, block in self._blocks():
+                vectors = decomposed.get(rows.size)
+                values = None if vectors is None else _certified_values(block, vectors)
+                if values is None:
+                    values, vectors = _decompose(np.linalg.eigh, block)
+                    decomposed[rows.size] = vectors
+                eig.append((rows, values, vectors))
             for arr in (arr for block in eig for arr in block):
                 arr.setflags(write=False)
-            self._eig = eig
+            self._eig = tuple(eig)
         return self._eig
+
+
+def _certified_values(B: np.ndarray, V: np.ndarray):
+    """The Rayleigh values Re diag(V^dag B V) of the Hermitian block B, if
+    they ascend and V diagonalises B to the residual bound of
+    `ExtendedSpace.eigensystem`; otherwise None."""
+    with np.errstate(all="ignore"):  # an overflow fails the certificate below
+        W = B @ V
+        values = np.einsum("ij,ij->j", V.conj(), W).real
+        W -= V * values
+        residual = float(np.max(np.abs(W)))
+    bound = REUSE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values))))
+    if residual <= bound < math.inf and np.all(np.diff(values) >= 0):
+        return values
+    return None
 
 
 def _decompose(decompose, H: np.ndarray):

@@ -297,7 +297,9 @@ def test_spectrum_shifts_with_sigma():
 def coupled_system(kind, n, rng):
     """A system matrix of the given coupling: `diagonal`, `degenerate`
     (diagonal, with at most two distinct levels), `two-blocks` (two coupled
-    Hermitian blocks) or `random` (coupled throughout)."""
+    Hermitian blocks), `shifted-blocks` (two coupled blocks of n // 2
+    levels, the second a copy of the first plus a real shift, and for odd n
+    one more uncoupled level) or `random` (coupled throughout)."""
     if kind == "diagonal":
         return np.diag(rng.normal(size=n))
     if kind == "degenerate":
@@ -308,11 +310,18 @@ def coupled_system(kind, n, rng):
         matrix[:cut, :cut] = random_hermitian(rng, cut)
         matrix[cut:, cut:] = random_hermitian(rng, n - cut)
         return matrix
+    if kind == "shifted-blocks":
+        cut = n // 2
+        matrix = np.diag(rng.normal(size=n)).astype(complex)
+        matrix[:cut, :cut] = random_hermitian(rng, cut)
+        matrix[cut:2 * cut, cut:2 * cut] = matrix[:cut, :cut] + rng.normal() * np.eye(cut)
+        return matrix
     return random_hermitian(rng, n)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(kind=st.sampled_from(("diagonal", "degenerate", "two-blocks", "random")),
+@given(kind=st.sampled_from(("diagonal", "degenerate", "two-blocks", "shifted-blocks",
+                             "random")),
        n=st.integers(2, 6), M=st.integers(4, 16).map(lambda half: 2 * half),
        sigma=st.sampled_from((1, -1)), snap=st.booleans(), gap=st.integers(0, 3),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -331,7 +340,8 @@ def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, snap,
     # every block lives on the levels of one decoupled system block, and is
     # an eigendecomposition of H_ex on its own rows
     levels = {"diagonal": np.arange(n), "degenerate": np.arange(n),
-              "two-blocks": np.arange(n) >= n // 2, "random": np.zeros(n)}[kind]
+              "two-blocks": np.arange(n) >= n // 2,
+              "shifted-blocks": np.arange(n) // (n // 2), "random": np.zeros(n)}[kind]
     for rows, values, vectors in blocks:
         assert np.unique(levels[rows // M]).size == 1
         assert np.all(np.diff(values) >= 0)
@@ -345,6 +355,8 @@ def test_blockwise_eigensystem_is_an_eigendecomposition(kind, n, M, sigma, snap,
         (rows, values, vectors), = blocks
         assert np.array_equal(rows, np.arange(ext.dim))
         assert np.array_equal(values, lam_ref) and np.array_equal(vectors, W_ref)
+    if kind == "shifted-blocks" and not snap:  # the copy reuses its original's eigh
+        assert blocks[1][2] is blocks[0][2]
 
     # the kernel route spans the near-null eigenspace of the plain eigh, for
     # an eps halfway across one of the lowest gaps in |spectrum|
@@ -405,7 +417,7 @@ def test_s_op_is_one_connected_component(M, decade):
     assert [rows.tolist() for rows in quantum._connected_components(S_op)] == [list(range(M))]
 
 
-def test_eigensystem_runs_one_eigh_per_decoupled_block(monkeypatch):
+def test_eigensystem_runs_one_eigh_per_distinct_block(monkeypatch):
     shapes = []
     eigh = np.linalg.eigh
 
@@ -416,12 +428,47 @@ def test_eigensystem_runs_one_eigh_per_decoupled_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     clock = build_clock(8, 0.5)
     rng = np.random.default_rng(41)
-    for kind, expected in (("diagonal", [(8, 8)] * 4), ("two-blocks", [(16, 16)] * 2),
-                           ("random", [(32, 32)])):
+    # the blocks E_i I + S_op of uncoupled levels, and a coupled block's
+    # shifted copy, reuse one eigh; distinct blocks take their own
+    for kind, n_blocks, expected in (("diagonal", 4, [(8, 8)]),
+                                     ("two-blocks", 2, [(16, 16)] * 2),
+                                     ("shifted-blocks", 2, [(16, 16)]),
+                                     ("random", 1, [(32, 32)])):
         system = build_system_space(coupled_system(kind, 4, rng))
         shapes.clear()  # drop the system's own eigh
-        build_extended(system, clock).eigensystem()
+        assert len(build_extended(system, clock).eigensystem()) == n_blocks
         assert shapes == expected
+    # eight snapped oscillator levels on M = 256: a residual bound that a
+    # reused eigenbasis misses at this size would take eight
+    clock = build_clock(256, 0.25)
+    system, _ = constraint.snap_energies(build_system_space(np.diag(np.arange(8) + 0.5)), clock)
+    ext = build_extended(system, clock)
+    shapes.clear()
+    assert len(ext.eigensystem()) == 8
+    assert shapes == [(256, 256)]
+    assert verify_kronecker_spectrum(ext) <= 1e-9
+
+
+def test_a_reused_eigenbasis_must_diagonalise_its_block():
+    # two coupled level pairs with the same spectrum +-g and eigenvectors
+    # turned by 0.05: on the first pair's eigenbasis the second block's
+    # Rayleigh values still ascend, but its residual is O(g), so it takes
+    # its own eigh
+    g, phi = 0.1, np.pi / 2 - 0.1
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = g * np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrix[2:, 2:] = g * np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]])
+    clock = build_clock(8, 0.5)
+    ext = build_extended(build_system_space(matrix), clock)
+    (rows0, values0, vectors0), (rows1, values1, vectors1) = ext.eigensystem()
+    assert vectors1 is not vectors0
+    on_v0 = np.einsum("ij,ij->j", vectors0.conj(), ext.hamiltonian[np.ix_(rows1, rows1)] @ vectors0)
+    assert np.all(np.diff(on_v0.real) >= 0)  # the ascending test alone would pass it
+    expected = np.sort((np.array([-g, g])[:, None] + clock.frequencies).ravel())
+    for rows, values, vectors in ((rows0, values0, vectors0), (rows1, values1, vectors1)):
+        assert np.max(np.abs(values - expected)) <= 1e-12
+        assert np.max(np.abs((vectors * values) @ vectors.conj().T
+                             - ext.hamiltonian[np.ix_(rows, rows)])) <= 1e-12
 
 
 def test_components_follow_the_symmetric_zero_pattern():

@@ -944,7 +944,12 @@ def one_energy_on_one_bin(blocks, matrix, clock):
     blocks[1, 1:, 1, 1:] -= matrix[1, 1] * np.eye(clock.M - 1)  # H_s[1, 1] on bin 0 only
 
 
-@pytest.mark.parametrize("mutate", [None, flip_one_clock_sign, one_energy_on_one_bin])
+def flip_last_clock_sign(blocks, matrix, clock):
+    blocks[-1, :, -1, :] -= 2 * clock.sigma * clock.S_op  # the last level, served by reuse, sees -sigma S
+
+
+@pytest.mark.parametrize("mutate", [None, flip_one_clock_sign, one_energy_on_one_bin,
+                                    flip_last_clock_sign])
 def test_the_dense_oracle_catches_a_mis_assembled_hex(monkeypatch, mutate):
     # the mutants keep the level blocks decoupled, so eigensystem() still
     # splits H_ex; only its reading of the assembled entries can catch them
@@ -957,6 +962,9 @@ def test_the_dense_oracle_catches_a_mis_assembled_hex(monkeypatch, mutate):
     system = quantum.build_system_space(np.diag(cfg.system.energies))
     ext = quantum.build_extended(system, quantum.build_clock(cfg.clock.M, cfg.clock.deltaT))
     deviation = quantum.verify_kronecker_spectrum(ext)
+    # whatever was assembled, every block's values ascend: readers take
+    # column 0 of a block as its lowest eigenvector
+    assert all(np.all(np.diff(values) >= 0) for _, values, _ in ext.eigensystem())
     report = run_scenario(cfg, suites=("constraint-solve",))
     failed = [r.check_id for r in report.records if not r.passed]
     if mutate is None:  # the independent assembly itself is sound
