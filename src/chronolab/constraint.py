@@ -6,9 +6,9 @@ product vectors; the kernel route eigendecomposes the assembled H_ex (one
 block per exactly decoupled component of its zero pattern, each with its
 own eigh or an earlier block's eigenvectors certified on it by their
 residual, see ExtendedSpace.eigensystem) and keeps the near-null
-eigenvectors.  On
-commensurate spectra the two must agree, which is the main cross-method
-oracle of the test suite.
+eigenvectors, matching no level, so only spectral columns carry pair
+labels.  On commensurate spectra the two must agree, which is the main
+cross-method oracle of the test suite.
 
 An exact kernel exists only when the energies sit on the grid, so
 commensurability is a first-class scenario parameter here: spectra are
@@ -24,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NoPhysicalStatesError
-from .quantum import (ExtendedSpace, SystemSpace, _eigenbasis_apply, _hex_apply,
-                      _kron_sums, clock_marginal, evolve_extended, separable_state, unit)
+from .quantum import (MAX_BASIS_ENTRIES, ExtendedSpace, SystemSpace, _eigenbasis_apply,
+                      _hex_apply, _kron_sums, clock_marginal, evolve_extended,
+                      separable_state, unit)
 
 __all__ = [
     "MatchedPair",
@@ -65,7 +66,8 @@ class MissDiagnostic(NamedTuple):
 
 @dataclass(frozen=True)
 class PhysicalSubspace:
-    """Orthonormal basis of the near-kernel of H_ex with its pair labels."""
+    """Orthonormal basis of the near-kernel of H_ex; only the spectral
+    route labels its columns (`pairs`, `misses`), the kernel route's are ()."""
 
     space: ExtendedSpace
     basis: np.ndarray  # (n_levels * M, d), columns orthonormal
@@ -137,12 +139,18 @@ def solve_constraint_spectral(ext: ExtendedSpace, eps_match: float | None = None
 
     Basis vectors are the products |E_i> (x) |w_k> for every matched pair,
     orthonormal by construction.  An empty result is not an error; the
-    `misses` table then lists the nearest missed frequency per level.
+    `misses` table then lists the nearest missed frequency per level.  A
+    basis of more than MAX_BASIS_ENTRIES entries (n M d) is refused with
+    InvalidInputError before it is built.
     """
     eps = default_eps_match(ext) if eps_match is None else float(eps_match)
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidInputError("eps_match must be positive and finite")
     pairs, misses = _match_levels(ext, eps)
+    if ext.dim * len(pairs) > MAX_BASIS_ENTRIES:
+        raise InvalidInputError(
+            f"the spectral basis of {len(pairs)} matched pairs on dimension {ext.dim} "
+            f"exceeds the dense-basis bound of {MAX_BASIS_ENTRIES} entries")
     levels = [pair.i for pair in pairs]
     waves = ext.clock.plane_wave(np.array([pair.k for pair in pairs], dtype=int))
     # one product state per pair, a row each; the basis holds them as columns
@@ -155,8 +163,8 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
     """Physical subspace as the near-null eigenspace of the assembled H_ex.
 
     Independent of the spectral route: the span comes from the dense
-    eigendecomposition.  Pair labels and miss diagnostics are attached with
-    the same matching rule, as metadata only.
+    eigendecomposition alone, and no level is matched, so the subspace
+    carries no pair labels and no miss diagnostics.
     """
     eps = default_eps_match(ext) if eps_eig is None else float(eps_eig)
     if not (eps > 0 and np.isfinite(eps)):
@@ -168,9 +176,8 @@ def solve_constraint_kernel(ext: ExtendedSpace, eps_eig: float | None = None) ->
     basis = np.zeros((ext.dim, ends[-1]), dtype=complex)
     for (rows, vectors), end in zip(kept, ends):
         basis[rows, end - vectors.shape[1]:end] = vectors
-    pairs, misses = _match_levels(ext, eps)
-    return PhysicalSubspace(space=ext, basis=basis, pairs=tuple(pairs), eps=eps,
-                            misses=tuple(misses), method="kernel")
+    return PhysicalSubspace(space=ext, basis=basis, pairs=(), eps=eps, misses=(),
+                            method="kernel")
 
 
 def snap_energies(system: SystemSpace, clock) -> tuple[SystemSpace, tuple]:

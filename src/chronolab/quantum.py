@@ -60,6 +60,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 MAX_EXTENDED_DIM = 8192
+MAX_BASIS_ENTRIES = MAX_EXTENDED_DIM * 1024  # a dense (n*M, d) basis: 2**23 entries, 128 MiB
 REUSE_RESIDUAL_TOL = 1e-12  # relative max-entry residual of a reused eigenbasis
 
 
@@ -455,6 +456,21 @@ def _hex_apply(ext: ExtendedSpace, psi: np.ndarray) -> np.ndarray:
             + ext.sigma * _clock_apply(ext.clock.frequencies, block)).reshape(-1)
 
 
+def _checked_theta(theta, *states) -> np.ndarray:
+    """theta as an array, once it is finite and broadcasts against the
+    leading (stack) axes of each state."""
+    theta = np.asarray(theta)
+    if not np.isfinite(theta).all():
+        raise InvalidInputError("theta must be finite")
+    try:
+        for state in states:
+            np.broadcast_shapes(state.shape[:-1], theta.shape)
+    except ValueError:
+        raise InvalidInputError(f"state stack {state.shape[:-1]} does not broadcast "
+                                f"against theta {theta.shape}") from None
+    return theta
+
+
 def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.ndarray:
     """exp(-i H_ex theta) psi.
 
@@ -472,14 +488,7 @@ def evolve_extended(ext: ExtendedSpace, psi, theta, method: str = "kron") -> np.
         raise InvalidInputError(
             f"state shape {psi.shape} does not end in the extended dimension {ext.dim}"
         )
-    theta = np.asarray(theta)
-    if not np.isfinite(theta).all():
-        raise InvalidInputError("theta must be finite")
-    try:
-        np.broadcast_shapes(psi.shape[:-1], theta.shape)
-    except ValueError:
-        raise InvalidInputError(f"state stack {psi.shape[:-1]} does not broadcast "
-                                f"against theta {theta.shape}") from None
+    theta = _checked_theta(theta, psi)
     if method == "kron":
         sys_s, clk = ext.system, ext.clock
         block = psi.reshape(psi.shape[:-1] + (sys_s.n_levels, clk.M))
@@ -509,15 +518,7 @@ def evolve_factored(system: SystemSpace, clock: ClockSpace, psi_s, psi_T, t):
     psi_T = np.asarray(psi_T, dtype=complex)
     if psi_s.shape[-1:] != (system.n_levels,) or psi_T.shape[-1:] != (clock.M,):
         raise InvalidInputError("factor dimensions do not match the spaces")
-    t = np.asarray(t)
-    if not np.isfinite(t).all():
-        raise InvalidInputError("t must be finite")
-    try:
-        np.broadcast_shapes(psi_s.shape[:-1], t.shape)
-        np.broadcast_shapes(psi_T.shape[:-1], t.shape)
-    except ValueError:
-        raise InvalidInputError("factor stacks do not broadcast against t") from None
-    t = t[..., None]
+    t = _checked_theta(t, psi_s, psi_T)[..., None]
     out_s = _eigenbasis_apply(system.vectors, _phases(t, system.energies), psi_s)
     out_T = _clock_apply(_phases(t, clock.frequencies, clock.sigma), psi_T)
     return out_s, out_T

@@ -120,10 +120,6 @@ class _Run:
         cfg = self.cfg
         clock = quantum.build_clock(cfg.clock.M, cfg.clock.deltaT, cfg.clock.T0,
                                     cfg.clock.sigma)
-        # the budget needs only the level count, so no n x n matrix is built past it
-        n = (cfg.system.n_levels if cfg.system.kind in ("oscillator", "random-hermitian")
-             else len(cfg.system.energies))
-        quantum.check_dense_budget(n * clock.M)
         system = quantum.build_system_space(_system_matrix(cfg, self.seed))
         if cfg.system.snap:
             system, shifts = constraint.snap_energies(system, clock)
@@ -157,29 +153,28 @@ def _classical_system(cfg: ScenarioConfig):
 
 
 def _system_matrix(cfg: ScenarioConfig, seed: int) -> np.ndarray:
-    kind = cfg.system.kind
+    kind, energies = cfg.system.kind, cfg.system.energies
     if kind == "qubit":
-        energies = cfg.system.energies or (0.0, math.pi)
+        energies = energies or (0.0, math.pi)
         if len(energies) != 2:
             raise ConfigError("a qubit needs exactly two energies")
-        return np.diag(np.asarray(energies, dtype=float)).astype(complex)
+    elif kind == "explicit-matrix" and not energies:
+        raise ConfigError("explicit-matrix needs system.energies")
+    elif kind not in ("explicit-matrix", "oscillator", "random-hermitian"):
+        raise ConfigError(f"system.kind {kind!r} has no quantum model; "
+                          "use qubit, oscillator, explicit-matrix or random-hermitian")
+    # the one place that knows the level count: the budget goes before any array of size n
+    n = cfg.system.n_levels if kind in ("oscillator", "random-hermitian") else len(energies)
+    quantum.check_dense_budget(n * cfg.clock.M)
+    if kind == "random-hermitian":
+        rng = np.random.default_rng((seed, _HERMITIAN_STREAM))
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * (raw + raw.conj().T)
     if kind == "oscillator":
-        n = cfg.system.n_levels
         # an overflowing level is a non-finite entry, which build_system_space rejects
         with np.errstate(over="ignore"):
             energies = cfg.system.omega * (np.arange(n) + 0.5)
-        return np.diag(energies).astype(complex)
-    if kind == "explicit-matrix":
-        if not cfg.system.energies:
-            raise ConfigError("explicit-matrix needs system.energies")
-        return np.diag(np.asarray(cfg.system.energies, dtype=float)).astype(complex)
-    if kind == "random-hermitian":
-        rng = np.random.default_rng((seed, _HERMITIAN_STREAM))
-        n = cfg.system.n_levels
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return 0.5 * (raw + raw.conj().T)
-    raise ConfigError(f"system.kind {kind!r} has no quantum model; "
-                      "use qubit, oscillator, explicit-matrix or random-hermitian")
+    return np.diag(np.asarray(energies, dtype=float)).astype(complex)
 
 
 def _solve_spectral(cfg, ext):
@@ -378,20 +373,18 @@ def _suite_povm_audit(run: _Run, rng):
         # same (already snapped) system and grid, opposite sign convention
         ext_b = quantum.build_extended(system, dataclasses.replace(clock, sigma=-clock.sigma))
         spectral_b = _solve_spectral(cfg, ext_b)
-        # w_-k = -w_k, so conjugate frames need each (i, k) of either sign mirrored by (i, -k)
-        mirrored = len({(p.i, -p.k) for p in spectral.pairs}
-                       & {(p.i, p.k) for p in spectral_b.pairs})
-        if mirrored != max(spectral.d, spectral_b.d):
-            run.add("sigma_pair_matched_pairs", mirrored, max(spectral.d, spectral_b.d), "==",
-                    note=f"{spectral.d} matched pairs under sigma = {clock.sigma}, "
-                         f"{spectral_b.d} under the opposite sign, {mirrored} mirrored: "
-                         "no effects to compare")
+        # w_-k = -w_k, so conjugate frames need each (i, k) of either sign mirrored
+        # by (i, -k); the opposite sign's frame columns in the mirror order of
+        # the run's pairs (within a level its pairs ascend in k, not in -k), in
+        # C order like the run's frame, so both distributions sum alike
+        column = {(p.i, -p.k): a for a, p in enumerate(spectral_b.pairs)}
+        mirror = [column[p.i, p.k] for p in spectral.pairs if (p.i, p.k) in column]
+        if len(mirror) != max(spectral.d, spectral_b.d):
+            run.add("sigma_pair_matched_pairs", len(mirror), max(spectral.d, spectral_b.d),
+                    "==", note=f"{spectral.d} matched pairs under sigma = {clock.sigma}, "
+                               f"{spectral_b.d} under the opposite sign, {len(mirror)} "
+                               "mirrored: no effects to compare")
         else:
-            # the opposite sign's frame columns in the mirror order (i, -k) of
-            # the run's pairs (within a level its pairs ascend in k, not in -k),
-            # in C order like the run's frame, so both distributions sum alike
-            column = {(p.i, p.k): a for a, p in enumerate(spectral_b.pairs)}
-            mirror = [column[p.i, -p.k] for p in spectral.pairs]
             measure_b = povm.build_time_povm(spectral_b)
             measure_b = dataclasses.replace(
                 measure_b, frame=np.ascontiguousarray(measure_b.frame[:, mirror]))

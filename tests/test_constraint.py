@@ -16,6 +16,7 @@ from chronolab import (
     solve_constraint_spectral,
     stationarity_check,
 )
+from chronolab import constraint
 from chronolab.constraint import (
     constraint_residual,
     default_eps_match,
@@ -78,10 +79,11 @@ def test_single_zero_level():
     clock = build_clock(16, 0.5)
     system = build_system_space(np.zeros((1, 1)))
     ext = build_extended(system, clock)
-    for solver in (solve_constraint_spectral, solve_constraint_kernel):
-        sub = solver(ext)
-        assert sub.d == 1
-        assert [(p.i, p.k) for p in sub.pairs] == [(0, 0)]
+    spectral, kernel = solve_constraint_spectral(ext), solve_constraint_kernel(ext)
+    assert spectral.d == kernel.d == 1
+    assert [(p.i, p.k) for p in spectral.pairs] == [(0, 0)]
+    # only the spectral route labels its columns
+    assert kernel.pairs == () and kernel.misses == ()
 
 
 def test_half_spacing_tie_resolves_to_lower_frequency_index():
@@ -139,6 +141,41 @@ def test_kernel_route_in_a_rotated_basis():
     assert np.max(principal_angles(spectral.basis, kernel.basis)) < 1e-8
 
 
+def twice_matched_space():
+    """sigma = -1 with a wide eps: level 0 matches k = 0 and k = 1, and the
+    kernel's first column, its lowest eigenvalue, is spectral pair 1."""
+    clock = build_clock(16, 1.0, sigma=-1)
+    step = clock.freq_step
+    system = build_system_space(np.diag([0.3 * step, 3 * step]))
+    return build_extended(system, clock), 0.75 * step
+
+
+def snapped_coupled_space():
+    """Four coupled levels snapped onto M = 16: one block, whose kernel
+    columns mix the matched pairs."""
+    rng = np.random.default_rng(3)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    clock = build_clock(16, 0.25)
+    system, _ = snap_energies(build_system_space(0.5 * (raw + raw.conj().T)), clock)
+    return build_extended(system, clock), None
+
+
+@pytest.mark.parametrize("space", [twice_matched_space, snapped_coupled_space],
+                         ids=["sigma-minus-twice-matched", "snapped-coupled"])
+def test_kernel_route_reads_no_matching_rule(space, monkeypatch):
+    ext, eps = space()
+    spectral = solve_constraint_spectral(ext, eps)
+
+    def no_matching(*args):
+        raise AssertionError("the kernel oracle matched levels")
+
+    monkeypatch.setattr(constraint, "_match_levels", no_matching)
+    kernel = solve_constraint_kernel(ext, spectral.eps)
+    assert kernel.pairs == () and kernel.misses == ()
+    assert kernel.d == spectral.d >= 3
+    assert np.max(principal_angles(spectral.basis, kernel.basis)) < 1e-8
+
+
 def test_gapped_spectrum_has_empty_kernel():
     clock = build_clock(16, 0.5)
     step = clock.freq_step
@@ -146,7 +183,7 @@ def test_gapped_spectrum_has_empty_kernel():
     ext = build_extended(system, clock)
     sub = solve_constraint_kernel(ext, eps_eig=0.25 * step)
     assert sub.d == 0
-    assert len(sub.misses) == 1
+    assert sub.misses == ()  # the miss is the spectral route's diagnostic
     with pytest.raises(NoPhysicalStatesError):
         make_physical_state(sub, np.array([]))
 

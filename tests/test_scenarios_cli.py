@@ -19,8 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chronolab import (ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig, classical,
-                       constraint, parse_config, povm, quantum, serialize_config)
+from chronolab import (ChronolabError, ClockSpace, ConfigError, ExtendedSpace, ScenarioConfig,
+                       classical, constraint, parse_config, povm, quantum, serialize_config)
 from chronolab import config, scenarios
 from chronolab.cli import _run_isolated, main
 from chronolab.config import SUITE_NAMES, SYSTEM_KINDS
@@ -36,6 +36,27 @@ clock.M = 64
 clock.deltaT = 0.25
 constraint.expected_dim = 2
 """
+
+
+@contextlib.contextmanager
+def address_space_cap(headroom: int):
+    """Cap this process's address space at its current size plus
+    `headroom` bytes, so a larger allocation raises MemoryError; uncapped
+    where /proc/self/statm cannot be read."""
+    import resource
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def strip_timestamp(text):
@@ -269,6 +290,16 @@ def test_cli_rejects_a_classical_run_past_the_step_budget(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.cfg"]
 
 
+CONFIG_DIR = Path(quantum.__file__).parent / "configs"
+
+
+def bundled_with(name, key, value):
+    """The text of bundled config `name` with `key` set to `value`."""
+    lines = (CONFIG_DIR / name).read_text(encoding="utf-8").splitlines()
+    return "\n".join([line for line in lines if not line.startswith(key + " ")]
+                     + [f"{key} = {value}"]) + "\n"
+
+
 # E theta overflows for the sampled evolution parameters |theta| > 1.8
 OVERFLOWING_PHASE = """
 scenario = overflowing_phase
@@ -295,6 +326,16 @@ scenario = huge_system
 system.kind = random-hermitian
 system.n_levels = 1000000000
 """, "exceeds the dense-solver budget"),
+    # nor the 10**9 ladder energies
+    ("constraint-solve", """
+scenario = huge_ladder
+system.kind = oscillator
+system.n_levels = 1000000000
+""", "exceeds the dense-solver budget"),
+    # every snapped level matches every frequency: d = n M = 8192, so the
+    # dense (8192, 8192) spectral basis is refused before it is built
+    ("constraint-solve", bundled_with("04_oscillator_snapped.cfg", "clock.M", "1024")
+     + "tolerances.eps_match = 1e12\n", "exceeds the dense-basis bound"),
     ("quantum-equivalence", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
     ("constraint-solve", OVERFLOWING_PHASE, "phase theta * energy leaves the float range"),
     # the one-bin step of the conditional-propagator check: 1e308 * deltaT overflows
@@ -306,12 +347,16 @@ system.energies = 0.0, 0.39269908169872414, 1e308
 clock.M = 64
 clock.deltaT = 2.0
 """, "phase theta * energy leaves the float range"),
-], ids=["oversized", "tiny-deltaT", "huge-n-levels", "overflowing-phase-quantum",
+], ids=["oversized", "tiny-deltaT", "huge-n-levels", "huge-oscillator",
+        "every-level-matches-every-frequency", "overflowing-phase-quantum",
         "overflowing-phase-constraint", "overflowing-phase-time-distribution"])
 def test_cli_invalid_input_exit_code(tmp_path, capsys, command, text, message):
     cfg_path = tmp_path / "input.cfg"
     cfg_path.write_text(text)
-    code = main([command, "--config", str(cfg_path)])
+    # an input refused only after a large allocation fails here with a
+    # MemoryError instead of taking the memory
+    with address_space_cap(512 * 2 ** 20):
+        code = main([command, "--config", str(cfg_path)])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -333,16 +378,6 @@ def test_cli_overflowing_initial_energy_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert "overflows the float range" in err
     assert "Traceback" not in err
-
-
-CONFIG_DIR = Path(quantum.__file__).parent / "configs"
-
-
-def bundled_with(name, key, value):
-    """The text of bundled config `name` with `key` set to `value`."""
-    lines = (CONFIG_DIR / name).read_text(encoding="utf-8").splitlines()
-    return "\n".join([line for line in lines if not line.startswith(key + " ")]
-                     + [f"{key} = {value}"]) + "\n"
 
 
 SNAPPED_COLLISION = bundled_with("04_oscillator_snapped.cfg", "system.omega", "0.01")
@@ -1151,4 +1186,43 @@ def test_float_extremes_only_yield_documented_exit_codes(text):
                 continue
             if code not in (0, 1, 2, 3):
                 failures.append(f"{key} = {value}: exit {code}")
+    assert failures == []
+
+
+# every config key, in turn, at each value of its type's pool; a value that
+# takes a run past _bounded's caps (M <= 64, <= 8 levels) is left out
+FLOAT_POOL = ("0.0", "-0.0", "5e-324", "1e-308", "0.5", "1.0", "-1.0", "1e154", "1e308",
+              "-1.7e308")
+KEY_POOLS = {
+    config._parse_float: FLOAT_POOL,
+    config._parse_float_list: FLOAT_POOL + ("", "0.0, 3.141592653589793"),
+    int: ("-1", "0", "1", "2", "8", "64", str(2 ** 31)),
+    config._parse_bool: ("true", "false"),
+    str: SYSTEM_KINDS,
+    config._parse_name_list: ("", "covariance", ", ".join(SUITE_NAMES)),
+}
+SWEPT_TEXTS = [(CONFIG_DIR / name).read_text(encoding="utf-8")
+               for name in ("01_classical_harmonic.cfg", "03_qubit_commensurate.cfg")]
+
+
+@pytest.mark.parametrize("text", SWEPT_TEXTS,
+                         ids=[parse_config(text).scenario for text in SWEPT_TEXTS])
+def test_every_key_at_each_pool_value_ends_in_a_report_or_a_typed_error(text):
+    # one run per (key, value), with the config's own suites; a warning is
+    # an error, as under PYTHONWARNINGS=error
+    failures = []
+    for key, (_, _, parser) in config._KEYS.items():
+        kept = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        for value in KEY_POOLS[parser]:
+            edited = "\n".join(kept + [f"{key} = {value}"])
+            if not _bounded(edited):
+                continue
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    run_scenario(parse_config(edited))
+            except ChronolabError:
+                continue
+            except Exception as exc:
+                failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
     assert failures == []
